@@ -47,8 +47,9 @@ pub trait Evaluator {
 }
 
 /// An [`Evaluator`] that can score a whole set of candidate placements at
-/// once. The neighborhood SA driver
-/// ([`SimulatedAnnealing::optimize_neighborhood_observed`](crate::sa::SimulatedAnnealing::optimize_neighborhood_observed))
+/// once. An SA search wider than one candidate per step
+/// ([`SimulatedAnnealing::optimize_neighborhood_observed`](crate::sa::SimulatedAnnealing::optimize_neighborhood_observed),
+/// [`SimulatedAnnealing::optimize_checkpointed_observed`](crate::sa::SimulatedAnnealing::optimize_checkpointed_observed))
 /// hands it every candidate of a step in one call, letting surrogate
 /// backends amortize a single batched forward pass over the neighborhood.
 ///

@@ -18,7 +18,8 @@ use chainnet::model::ChainNet;
 use chainnet_ckpt::{CkptError, CkptStore};
 use chainnet_obs::Obs;
 use chainnet_placement::evaluator::{
-    loss_probability, ApproxEvaluator, GnnEvaluator, ResilientEvaluator, SimEvaluator,
+    loss_probability, ApproxEvaluator, BatchEvaluator, GnnEvaluator, ResilientEvaluator,
+    SimEvaluator,
 };
 use chainnet_placement::problem::PlacementProblem;
 use chainnet_placement::sa::{SaConfig, SaResult, SimulatedAnnealing};
@@ -479,15 +480,14 @@ impl Engine {
                         .wrapping_add(self.state.faults_applied),
                     ..SaConfig::paper_default()
                 });
-                let result = self.run_repair(&sa, &eff, &base);
-                let (placement, objective) = match result {
-                    Some(r) if r.best_objective.is_finite() => (r.best_placement, r.best_objective),
-                    _ => {
-                        // Polish failed to score anything: keep the
-                        // greedy relocation with a conservative score.
-                        let obj = self.score(&eff, &base).unwrap_or(f64::NEG_INFINITY);
-                        (base, obj)
-                    }
+                let result = self.search(&sa, &eff, &base, 1, self.config.neighborhood);
+                let (placement, objective) = if result.best_objective.is_finite() {
+                    (result.best_placement, result.best_objective)
+                } else {
+                    // Polish failed to score anything: keep the greedy
+                    // relocation with a conservative score.
+                    let obj = self.score(&eff, &base).unwrap_or(f64::NEG_INFINITY);
+                    (base, obj)
                 };
                 self.state.last_good = Some(CachedPlacement {
                     placement,
@@ -570,46 +570,32 @@ impl Engine {
             .unwrap_or_else(|_| SimConfig::new(200.0, self.config.seed))
     }
 
-    /// The repair rung: bounded batched neighborhood search from `base`.
-    fn run_repair(
+    /// Run `sa` from `start` on the serving evaluator stack: the
+    /// surrogate backed by the analytic evaluator or, with no surrogate
+    /// loaded, the analytic evaluator backed by the simulator. Width 1
+    /// is the full-search rung; the repair rung scores
+    /// `config.neighborhood` candidates per step.
+    fn search(
         &self,
         sa: &SimulatedAnnealing,
         eff: &PlacementProblem,
-        base: &Placement,
-    ) -> Option<SaResult> {
-        let result = match &self.surrogate {
-            Some(model) => {
-                let mut ev = ResilientEvaluator::new_observed(
-                    GnnEvaluator::new(model.clone()),
-                    ApproxEvaluator::default(),
-                    self.obs.clone(),
-                );
-                sa.optimize_neighborhood_observed(
-                    eff,
-                    base,
-                    &mut ev,
-                    1,
-                    self.config.neighborhood,
-                    &self.obs,
-                )
-            }
-            None => {
-                let mut ev = ResilientEvaluator::new_observed(
-                    ApproxEvaluator::default(),
-                    SimEvaluator::new(self.sim_config()),
-                    self.obs.clone(),
-                );
-                sa.optimize_neighborhood_observed(
-                    eff,
-                    base,
-                    &mut ev,
-                    1,
-                    self.config.neighborhood,
-                    &self.obs,
-                )
-            }
+        start: &Placement,
+        trials: usize,
+        neighborhood: usize,
+    ) -> SaResult {
+        let mut ev: Box<dyn BatchEvaluator> = match &self.surrogate {
+            Some(model) => Box::new(ResilientEvaluator::new_observed(
+                GnnEvaluator::new(model.clone()),
+                ApproxEvaluator::default(),
+                self.obs.clone(),
+            )),
+            None => Box::new(ResilientEvaluator::new_observed(
+                ApproxEvaluator::default(),
+                SimEvaluator::new(self.sim_config()),
+                self.obs.clone(),
+            )),
         };
-        Some(result)
+        sa.optimize_neighborhood_observed(eff, start, ev.as_mut(), trials, neighborhood, &self.obs)
     }
 
     /// Score one placement with the serving evaluator stack.
@@ -668,36 +654,7 @@ impl Engine {
                     max_wall_secs: budget_secs,
                     ..SaConfig::paper_default()
                 });
-                let result = match &self.surrogate {
-                    Some(model) => {
-                        let mut ev = ResilientEvaluator::new_observed(
-                            GnnEvaluator::new(model.clone()),
-                            ApproxEvaluator::default(),
-                            self.obs.clone(),
-                        );
-                        sa.optimize_observed(
-                            &eff,
-                            start_placement,
-                            &mut ev,
-                            self.config.trials,
-                            &self.obs,
-                        )
-                    }
-                    None => {
-                        let mut ev = ResilientEvaluator::new_observed(
-                            ApproxEvaluator::default(),
-                            SimEvaluator::new(self.sim_config()),
-                            self.obs.clone(),
-                        );
-                        sa.optimize_observed(
-                            &eff,
-                            start_placement,
-                            &mut ev,
-                            self.config.trials,
-                            &self.obs,
-                        )
-                    }
-                };
+                let result = self.search(&sa, &eff, start_placement, self.config.trials, 1);
                 span.close();
                 if result.best_objective.is_finite() && eff.is_feasible(&result.best_placement) {
                     // Deadline re-check: a full search that blew the
@@ -725,19 +682,18 @@ impl Engine {
                         .map(|d| d.as_secs_f64() * self.config.deadline_safety.clamp(0.05, 1.0)),
                     ..SaConfig::paper_default()
                 });
-                if let Some(result) = self.run_repair(&sa, &eff, start_placement) {
-                    if result.best_objective.is_finite()
-                        && eff.is_feasible(&result.best_placement)
-                        && Self::remaining(deadline_ms, received).is_ok()
-                    {
-                        return self.finish_place(
-                            &eff,
-                            result.best_placement,
-                            result.best_objective,
-                            DegradationLevel::LocalRepair,
-                            result.evaluations,
-                        );
-                    }
+                let result = self.search(&sa, &eff, start_placement, 1, self.config.neighborhood);
+                if result.best_objective.is_finite()
+                    && eff.is_feasible(&result.best_placement)
+                    && Self::remaining(deadline_ms, received).is_ok()
+                {
+                    return self.finish_place(
+                        &eff,
+                        result.best_placement,
+                        result.best_objective,
+                        DegradationLevel::LocalRepair,
+                        result.evaluations,
+                    );
                 }
             }
         }
@@ -1026,6 +982,43 @@ mod tests {
         // The request counter moved but no placement was produced.
         let snap = e.obs().registry.snapshot();
         assert_eq!(snap.counters["serve.deadline_exceeded_total"], 1);
+    }
+
+    #[test]
+    fn local_repair_honours_its_deadline_budget() {
+        // The deadline leaves no room for the full-search rung, and the
+        // repair rung has far more steps than the deadline allows: it
+        // must stop at its wall-clock budget and still answer in time.
+        let repair_steps = 200_000;
+        let cfg = EngineConfig {
+            min_full_search_ms: 60_000,
+            repair_steps,
+            ..EngineConfig::default()
+        };
+        let mut e = Engine::new(cfg, Obs::enabled());
+        install(&mut e);
+        let received = Instant::now();
+        let r = e.handle(
+            &Request {
+                id: 2,
+                deadline_ms: Some(500),
+                body: RequestBody::Place { hint: None },
+            },
+            received,
+        );
+        let elapsed = received.elapsed();
+        match r.outcome {
+            Outcome::Placed {
+                degradation,
+                evaluations,
+                ..
+            } => {
+                assert_eq!(degradation, DegradationLevel::LocalRepair);
+                assert!(evaluations < 4 * repair_steps as u64);
+            }
+            other => panic!("expected a local repair, got {other:?}"),
+        }
+        assert!(elapsed < Duration::from_millis(500), "took {elapsed:?}");
     }
 
     #[test]

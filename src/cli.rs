@@ -26,9 +26,9 @@ use chainnet_datagen::error::DatagenError;
 use chainnet_datagen::typesets::NetworkParams;
 use chainnet_obs::{EventLog, Obs, Tracer};
 use chainnet_placement::error::PlacementError;
-use chainnet_placement::evaluator::{loss_probability, Evaluator, GnnEvaluator, SimEvaluator};
+use chainnet_placement::evaluator::{loss_probability, BatchEvaluator, GnnEvaluator, SimEvaluator};
 use chainnet_placement::problem::PlacementProblem;
-use chainnet_placement::sa::{SaConfig, SaResult, SimulatedAnnealing, SA_CKPT_SCHEMA};
+use chainnet_placement::sa::{SaConfig, SimulatedAnnealing, SA_CKPT_SCHEMA};
 use chainnet_qsim::faults::FaultSchedule;
 use chainnet_qsim::model::SystemModel;
 use chainnet_qsim::sim::{SimConfig, Simulator};
@@ -281,8 +281,9 @@ COMMANDS:
   optimize     --problem p.json [--model model.json] [--steps 100]
                [--trials 5] [--horizon 2000] [--seed 0] [--out placement.json]
                [--neighborhood K]  score K candidates per SA step in one
-                                   batched evaluator call (incompatible
-                                   with --checkpoint-dir)
+                                   batched evaluator call (checkpointed
+                                   with the search; --resume needs the
+                                   same K)
   stats        --data d.json
   evaluate     --model model.json --data d.json
   export-dot   --system s.json [--out graph.dot]
@@ -745,34 +746,8 @@ fn cmd_stats(inv: &Invocation) -> Result<String, CliError> {
     Ok(chainnet_datagen::stats::render_stats(&stats))
 }
 
-/// Run the SA search with or without checkpointing, depending on
-/// whether `--checkpoint-dir` was given.
-fn run_sa(
-    sa: &SimulatedAnnealing,
-    problem: &PlacementProblem,
-    initial: &chainnet_qsim::model::Placement,
-    ev: &mut dyn Evaluator,
-    trials: usize,
-    ckpt: &Option<(CkptStore, usize, bool)>,
-    obs: &Obs,
-) -> Result<SaResult, CliError> {
-    match ckpt {
-        Some((store, every, resume)) => Ok(sa.optimize_checkpointed_observed(
-            problem, initial, ev, trials, store, *every, *resume, obs,
-        )?),
-        None => Ok(sa.optimize_observed(problem, initial, ev, trials, obs)),
-    }
-}
-
 fn cmd_optimize(inv: &Invocation) -> Result<String, CliError> {
     let neighborhood = opt_usize(inv, "neighborhood", 0)?;
-    if neighborhood > 0 && inv.options.contains_key("checkpoint-dir") {
-        return Err(CliError::Usage(
-            "--neighborhood is incompatible with --checkpoint-dir: the \
-             batched neighborhood driver has no checkpoint schema"
-                .to_string(),
-        ));
-    }
     let problem: PlacementProblem = read_json(required(inv, "problem")?)?;
     let steps = opt_usize(inv, "steps", 100)?;
     let trials = opt_usize(inv, "trials", 5)?;
@@ -787,38 +762,30 @@ fn cmd_optimize(inv: &Invocation) -> Result<String, CliError> {
     let obs = build_obs(inv)?;
     register_cancel_signals(&obs);
     let ckpt = checkpoint_options(inv, "sa", SA_CKPT_SCHEMA, 10, &obs)?;
-    let result = match inv.options.get("model") {
-        Some(path) => {
-            let model: ChainNet = read_json(path)?;
-            let mut ev = GnnEvaluator::new(model);
-            if neighborhood > 0 {
-                sa.optimize_neighborhood_observed(
-                    &problem,
-                    &initial,
-                    &mut ev,
-                    trials,
-                    neighborhood,
-                    &obs,
-                )
-            } else {
-                run_sa(&sa, &problem, &initial, &mut ev, trials, &ckpt, &obs)?
-            }
-        }
-        None => {
-            let mut ev = SimEvaluator::new(SimConfig::new(horizon, seed));
-            if neighborhood > 0 {
-                sa.optimize_neighborhood_observed(
-                    &problem,
-                    &initial,
-                    &mut ev,
-                    trials,
-                    neighborhood,
-                    &obs,
-                )
-            } else {
-                run_sa(&sa, &problem, &initial, &mut ev, trials, &ckpt, &obs)?
-            }
-        }
+    let mut ev: Box<dyn BatchEvaluator> = match inv.options.get("model") {
+        Some(path) => Box::new(GnnEvaluator::new(read_json::<ChainNet>(path)?)),
+        None => Box::new(SimEvaluator::new(SimConfig::new(horizon, seed))),
+    };
+    let result = match &ckpt {
+        Some((store, every, resume)) => sa.optimize_checkpointed_observed(
+            &problem,
+            &initial,
+            ev.as_mut(),
+            trials,
+            neighborhood,
+            store,
+            *every,
+            *resume,
+            &obs,
+        )?,
+        None => sa.optimize_neighborhood_observed(
+            &problem,
+            &initial,
+            ev.as_mut(),
+            trials,
+            neighborhood,
+            &obs,
+        ),
     };
     if matches!(
         result.termination_reason,
@@ -1569,22 +1536,85 @@ mod tests {
     }
 
     #[test]
-    fn optimize_neighborhood_rejects_checkpointing() {
-        let err = run(&parse_args(&args(&[
-            "optimize",
-            "--problem",
-            "p.json",
-            "--neighborhood",
-            "4",
-            "--checkpoint-dir",
-            "ck",
-        ]))
-        .unwrap())
-        .unwrap_err();
-        let CliError::Usage(text) = err else {
-            panic!("expected usage error")
+    fn optimize_neighborhood_checkpointed_resume_round_trip() {
+        let devices = vec![
+            Device::new(5.0, 0.3).unwrap(),
+            Device::new(30.0, 2.0).unwrap(),
+            Device::new(30.0, 2.0).unwrap(),
+        ];
+        let chains = vec![ServiceChain::new(
+            1.0,
+            vec![
+                Fragment::new(1.0, 1.0).unwrap(),
+                Fragment::new(1.0, 1.0).unwrap(),
+            ],
+        )
+        .unwrap()];
+        let problem = PlacementProblem::new(devices, chains).unwrap();
+        let path = temp("cli_nbhd_ckpt_problem.json");
+        let full_dir = temp_dir("cli_nbhd_ckpt_full");
+        let cut_dir = temp_dir("cli_nbhd_ckpt_cut");
+        std::fs::write(&path, serde_json::to_string(&problem).unwrap()).unwrap();
+        let argv = |dir: &str, extra: &[&str]| {
+            let mut v = vec![
+                "optimize",
+                "--problem",
+                &path,
+                "--steps",
+                "10",
+                "--trials",
+                "2",
+                "--horizon",
+                "300",
+                "--checkpoint-dir",
+                dir,
+                "--checkpoint-every",
+                "3",
+            ];
+            v.extend_from_slice(extra);
+            args(&v)
         };
-        assert!(text.contains("--neighborhood"));
+        let full = run(&parse_args(&argv(&full_dir, &["--neighborhood", "4"])).unwrap()).unwrap();
+        // A kill in trial 0 after the step-6 checkpoint leaves files 1-2.
+        for seq in 1..=2 {
+            let name = format!("sa-{seq:08}.ckpt");
+            std::fs::copy(
+                Path::new(&full_dir).join(&name),
+                Path::new(&cut_dir).join(&name),
+            )
+            .unwrap();
+        }
+        let resumed =
+            run(&parse_args(&argv(&cut_dir, &["--neighborhood", "4", "--resume"])).unwrap())
+                .unwrap();
+        let line = |msg: &str, prefix: &str| {
+            msg.lines()
+                .find(|l| l.starts_with(prefix))
+                .map(str::to_owned)
+                .unwrap()
+        };
+        assert_eq!(
+            line(&full, "best placement:"),
+            line(&resumed, "best placement:")
+        );
+        let evals = |msg: &str| {
+            line(msg, "search:")
+                .split_whitespace()
+                .nth(1)
+                .unwrap()
+                .to_owned()
+        };
+        assert_eq!(evals(&full), evals(&resumed));
+        // The width is part of the checkpointed search.
+        let err = run(&parse_args(&argv(&cut_dir, &["--neighborhood", "2", "--resume"])).unwrap())
+            .unwrap_err();
+        assert!(
+            matches!(err, CliError::Ckpt(CkptError::ResumeMismatch { .. })),
+            "{err}"
+        );
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&full_dir);
+        let _ = std::fs::remove_dir_all(&cut_dir);
     }
 
     /// Fresh, empty directory for checkpoint tests (removed by callers).

@@ -1,6 +1,7 @@
 //! End-to-end crash-recovery tests of the `chainnet-cli` binary: kill a
-//! checkpointed run with SIGKILL, resume it in a fresh process, and
-//! check the final artifact is byte-identical to an uninterrupted run;
+//! checkpointed `train` or `optimize` run with SIGKILL, resume it in a
+//! fresh process, and check the final artifact is byte-identical to an
+//! uninterrupted run;
 //! corrupt a checkpoint on disk and watch resume quarantine it and fall
 //! back; check the documented exit codes for checkpoint flag misuse.
 
@@ -224,6 +225,125 @@ fn sigkill_mid_train_then_resume_is_bit_identical() {
     for d in [&ref_dir, &kill_dir] {
         let _ = std::fs::remove_dir_all(d);
     }
+}
+
+/// The shared simulator-backed `optimize` invocation on the Sec. VIII-D
+/// case study at neighborhood width `k`.
+fn optimize_cmd(problem: &Path, out: &Path, ckpt_dir: &Path, k: usize, resume: bool) -> Command {
+    let mut cmd = bin();
+    cmd.args([
+        "optimize",
+        "--problem",
+        problem.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+        "--steps",
+        "30",
+        "--trials",
+        "2",
+        "--horizon",
+        "2000",
+        "--seed",
+        "3",
+        "--neighborhood",
+        &k.to_string(),
+        "--checkpoint-dir",
+        ckpt_dir.to_str().unwrap(),
+        "--checkpoint-every",
+        "2",
+    ]);
+    if resume {
+        cmd.arg("--resume");
+    }
+    cmd
+}
+
+/// Run `cmd` to success and return the report lines that do not depend
+/// on wall-clock time (the `search:` line keeps only its evaluation
+/// count).
+fn optimize_report(cmd: &mut Command) -> Vec<String> {
+    let out = cmd.output().expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .map(|l| match l.strip_prefix("search: ") {
+            Some(rest) => rest.split_whitespace().next().unwrap().to_owned(),
+            None => l.to_owned(),
+        })
+        .collect()
+}
+
+/// SIGKILL a checkpointed search after its third checkpoint, resume it,
+/// and compare report and placement with an uninterrupted run.
+#[cfg(unix)]
+fn sigkill_mid_optimize_then_resume(k: usize) {
+    let problem = temp(&format!("opt{k}_problem.json"));
+    let out = bin()
+        .args(["case-study", "--out", problem.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+
+    let ref_dir = temp_dir(&format!("opt{k}_ref"));
+    let ref_out = temp(&format!("opt{k}_ref_placement.json"));
+    let reference = optimize_report(&mut optimize_cmd(&problem, &ref_out, &ref_dir, k, false));
+
+    let kill_dir = temp_dir(&format!("opt{k}_victim"));
+    let kill_out = temp(&format!("opt{k}_victim_placement.json"));
+    let mut child = optimize_cmd(&problem, &kill_out, &kill_dir, k, false)
+        .spawn()
+        .expect("spawn");
+    let target = kill_dir.join("sa-00000003.ckpt");
+    for _ in 0..600 {
+        if target.exists() {
+            break;
+        }
+        if let Ok(Some(_)) = child.try_wait() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let _ = child.kill(); // SIGKILL
+    let _ = child.wait();
+
+    let resumed = optimize_report(&mut optimize_cmd(&problem, &kill_out, &kill_dir, k, true));
+    assert_eq!(reference, resumed, "resumed search report differs");
+    assert_eq!(
+        std::fs::read(&ref_out).unwrap(),
+        std::fs::read(&kill_out).unwrap(),
+        "resumed placement differs from the uninterrupted reference"
+    );
+
+    // The width is part of the checkpointed search: resuming at another
+    // width is a typed mismatch, exit 3.
+    let out = optimize_cmd(&problem, &kill_out, &kill_dir, k + 1, true)
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(3));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("neighborhood"));
+
+    for p in [&problem, &ref_out, &kill_out] {
+        let _ = std::fs::remove_file(p);
+    }
+    for d in [&ref_dir, &kill_dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+#[cfg(unix)]
+#[test]
+fn sigkill_mid_optimize_then_resume_is_bit_identical() {
+    sigkill_mid_optimize_then_resume(1);
+}
+
+#[cfg(unix)]
+#[test]
+fn sigkill_mid_neighborhood_optimize_then_resume_is_bit_identical() {
+    sigkill_mid_optimize_then_resume(4);
 }
 
 #[test]
