@@ -1,8 +1,10 @@
 //! Criterion benches for the hot paths: the zero-alloc qsim event loop,
-//! the blocked matmul kernel (naive vs blocked, f64 vs f32), SA
+//! the blocked matmul kernel (naive vs blocked, f64 vs f32, and the
+//! inference kernel against `matmul_bt` at one-graph shapes), SA
 //! candidate evaluation (sequential vs the batched neighborhood driver),
 //! and the PR-10 batched training step (per-graph f64 tape passes vs one
-//! padded multi-graph tape pass in f32/f64). `CRITERION_QUICK=1`
+//! padded multi-graph tape pass in f32/f64), and the JSON string scan
+//! at two document sizes. `CRITERION_QUICK=1`
 //! shortens every run for CI smoke mode; the machine-readable numbers
 //! live in `BENCH_PR5.json` / `BENCH_PR10.json` (see `hotpath_report`
 //! and `train_report`).
@@ -97,6 +99,46 @@ fn bench_matmul(c: &mut Criterion) {
     group.bench_function("naive_256", |bch| bch.iter(|| a.matmul_naive(&b)));
     group.bench_function("blocked_256", |bch| bch.iter(|| a.matmul(&b)));
     group.bench_function("blocked_256_f32", |bch| bch.iter(|| a32.matmul(&b32)));
+    group.finish();
+
+    // One GRU gate triple at B = 1 (k = 2h, n = 3h for the default
+    // hidden 32): the inference kernel on the (k, n) transpose against
+    // the training kernel on the (n, k) weights.
+    let mut group = c.benchmark_group("hotpath_matmul_inference");
+    group.sample_size(10);
+    let (k, n) = (64, 96);
+    let x: Tensor = random_matrix(1, k, &mut rng);
+    let w: Tensor = random_matrix(n, k, &mut rng);
+    let w_kn = w.transposed();
+    group.throughput(Throughput::Elements((2 * k * n) as u64));
+    group.bench_function("kn_1x64x96", |bch| bch.iter(|| x.matmul_kn(&w_kn)));
+    group.bench_function("bt_1x64x96", |bch| bch.iter(|| x.matmul_bt(&w)));
+    group.finish();
+}
+
+/// A string-heavy JSON document of `n` strings: non-ASCII, escapes and
+/// astral characters: the multi-byte inputs a per-character
+/// re-validation of the rest of the input would make quadratic.
+fn string_document(n: usize) -> String {
+    let strings: Vec<String> = (0..n)
+        .map(|i| format!("chain-{i} \"é\" 😀 tab\t λ/{}", "ü".repeat(i % 17)))
+        .collect();
+    serde_json::to_string(&strings).expect("strings serialize")
+}
+
+/// Record-only: parse time at two document sizes, 16x apart. A linear
+/// scan keeps the bytes/s rate flat between them; a return of the
+/// quadratic string scan shows as a rate that falls with size.
+fn bench_json_strings(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hotpath_json_strings");
+    group.sample_size(10);
+    for n in [1_000, 16_000] {
+        let doc = string_document(n);
+        group.throughput(Throughput::Bytes(doc.len() as u64));
+        group.bench_function(format!("parse_{n}_strings"), |b| {
+            b.iter(|| serde_json::from_str::<Vec<String>>(&doc).expect("parse"))
+        });
+    }
     group.finish();
 }
 
@@ -238,6 +280,7 @@ criterion_group!(
     bench_sim_step_throughput,
     bench_matmul,
     bench_sa_evaluation,
-    bench_train_batched_forward
+    bench_train_batched_forward,
+    bench_json_strings
 );
 criterion_main!(benches);

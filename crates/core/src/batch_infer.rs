@@ -1,304 +1,389 @@
-//! Batched, tape-free ChainNet inference.
+//! ChainNet's one inference forward: tape-free and stacked.
 //!
-//! [`predict_batch_chainnet`] evaluates a whole batch of placement graphs
-//! in one vectorized forward pass: every algorithm slot (per-chain service
-//! state, per-step fragment state, per-device state) becomes a `(B, h)`
-//! matrix with one row per graph, and each GRU/linear application turns
-//! into a single cache-blocked [`Tensor::matmul_bt`] over all rows instead
-//! of `B` separate matvecs. This is the hot path behind
-//! [`Surrogate::predict_batch`](crate::model::Surrogate::predict_batch) and
-//! the SA neighborhood search.
+//! [`predict`] evaluates a batch of placement graphs; a single graph is
+//! a batch of one, so [`Surrogate::predict`](crate::model::Surrogate::predict)
+//! and [`Surrogate::predict_batch`](crate::model::Surrogate::predict_batch)
+//! run the same code. Graphs are grouped by skeleton (feature mode,
+//! chain count, per-chain step counts, device count) and each group runs
+//! as one stacked pass: every algorithm slot (a chain's service state, a
+//! step's fragment state, a device's state) is a block of `B` rows, one
+//! per graph. The per-step *device wiring* may differ inside a group —
+//! messages gather each graph's own device row — which is the shape of
+//! an SA neighbourhood whose moves reassign fragments among an unchanged
+//! device set.
+//!
+//! The weights are packed once per call ([`Packed`]) into the (k, n)
+//! layout of [`matmul_kn_into`]. Products that do not depend on each
+//! other also run as one kernel call over more rows: the input half of
+//! φ_C for every step (its messages read only the previous iteration's
+//! states), φ_F for every step, and φ_D with its attention for every
+//! device. Only φ_C's recurrent half walks the steps one at a time.
 //!
 //! # Bit-identity contract
 //!
-//! Every arithmetic expression below replicates the corresponding tape op
-//! *exactly* (same summation order, same literal expressions such as
-//! `alpha * x + beta` and `if x > 0.0 { x } else { slope * x }`), so each
-//! output row is bit-identical to a sequential
-//! [`Surrogate::predict`](crate::model::Surrogate::predict) call on that
-//! graph. `tests/batched_inference.rs` enforces this with exact equality.
-//!
-//! # Structural uniformity
-//!
-//! Rows can only be stacked when the graphs share a skeleton: the same
-//! feature mode, chain count, per-chain step counts, and (local) device
-//! count. The per-step *device wiring* may differ per graph — messages
-//! gather the right `h_dev` row per graph — which is exactly the shape of
-//! an SA neighborhood where moves reassign fragments among an unchanged
-//! device set. Mixed-structure batches fall back to the sequential loop.
+//! Every expression replicates the corresponding op of the tape forward
+//! [`ChainNet::forward`] exactly: each kernel output is one ascending-k
+//! accumulation from zero, like the tape's `matvec`, and the elementwise
+//! steps use the tape's literal expressions and evaluation order. Each
+//! prediction is therefore bit-identical to the tape forward followed by
+//! [`outputs_to_natural_units`]; `tests/batched_inference.rs` enforces it
+//! with exact equality.
 
+use crate::config::TargetMode;
 use crate::data::outputs_to_natural_units;
 use crate::graph::PlacementGraph;
-use crate::model::{ChainNet, PerfPrediction, Surrogate};
-use chainnet_neural::tensor::Tensor;
+use crate::model::{ChainNet, PerfPrediction};
+use chainnet_neural::layers::{pack_kn, PackedGru, PackedLinear, PackedMlp};
+use chainnet_neural::tensor::matmul_kn_into;
 
-/// Evaluate `graphs` with stacked matrix kernels when their structure
-/// allows it, falling back to per-graph [`Surrogate::predict`] otherwise.
-/// Returns one prediction vector per graph, in input order.
-pub(crate) fn predict_batch_chainnet(
-    net: &ChainNet,
-    graphs: &[PlacementGraph],
-) -> Vec<Vec<PerfPrediction>> {
-    if graphs.len() <= 1 || !uniform_structure(graphs) {
-        return graphs.iter().map(|g| net.predict(g)).collect();
-    }
-
-    let store = &net.store;
-    let bsz = graphs.len();
-    let h = net.config.hidden;
-    let num_chains = graphs[0].chains.len();
-    let num_devices = graphs[0].devices.len();
-    let steps_len: Vec<usize> = graphs[0].chains.iter().map(|c| c.steps.len()).collect();
-
-    // Algorithm 2, line 1: encode input features, one (B, h) matrix per
-    // slot. Each encoder runs one blocked matmul over all graphs.
-    let mut h_service: Vec<Tensor> = (0..num_chains)
-        .map(|i| {
-            let feats = stack_rows(graphs, |g| &g.chains[i].service_feat);
-            net.enc_service.forward_batched(store, &feats)
-        })
-        .collect();
-    let mut h_frag: Vec<Vec<Tensor>> = (0..num_chains)
-        .map(|i| {
-            (0..steps_len[i])
-                .map(|j| {
-                    let feats = stack_rows(graphs, |g| &g.chains[i].steps[j].frag_feat);
-                    net.enc_frag.forward_batched(store, &feats)
-                })
-                .collect()
-        })
-        .collect();
-    let mut h_dev: Vec<Tensor> = (0..num_devices)
-        .map(|k| {
-            let feats = stack_rows(graphs, |g| &g.devices[k].feat);
-            net.enc_dev.forward_batched(store, &feats)
-        })
-        .collect();
-
-    // Lines 2-16: N message-passing iterations.
-    for _n in 0..net.config.iterations {
-        // Snapshot h_j^{(n-1)} (Eqs. 6 and 10).
-        let frag_prev = h_frag.clone();
-        let mut step_service: Vec<Vec<Tensor>> = steps_len
-            .iter()
-            .map(|&len| Vec::with_capacity(len))
-            .collect();
-
-        // Lines 3-11: traverse each execution sequence.
-        for i in 0..num_chains {
-            let mut h_i = h_service[i].clone();
-            for j in 0..steps_len[i] {
-                // Eq. 6: m_C = [h_j^(n-1) || h_k^(n-1)], gathering each
-                // graph's own device row.
-                let m_c = gather_message(&frag_prev[i][j], &h_dev, graphs, i, j, h);
-                // Eq. 4.
-                h_i = net.phi_c.forward_batched(store, &m_c, &h_i);
-                // Eq. 8: m_F = [h_i^(n),j || h_k^(n-1)].
-                let m_f = gather_message(&h_i, &h_dev, graphs, i, j, h);
-                // Eq. 7.
-                h_frag[i][j] = net.phi_f.forward_batched(store, &m_f, &frag_prev[i][j]);
-                step_service[i].push(h_i.clone());
-            }
-            // Eq. 5.
-            h_service[i] = h_i;
-        }
-
-        // Lines 12-15: device updates, after all chains. The step list
-        // of device k differs per graph, so m_D rows are assembled per
-        // (graph, device) pair; the GRU update itself is batched.
-        for (k, h_dev_k) in h_dev.iter_mut().enumerate() {
-            let mut md_data = Vec::with_capacity(bsz * 2 * h);
-            for (b, graph) in graphs.iter().enumerate() {
-                let steps = &graph.devices[k].steps;
-                if steps.len() == 1 {
-                    // Eq. 10 verbatim: the lone message needs no attention.
-                    let (i, j) = steps[0];
-                    md_data.extend_from_slice(row(&step_service[i][j], b, h));
-                    md_data.extend_from_slice(row(&frag_prev[i][j], b, h));
-                } else {
-                    // Eqs. 14-16: attention over the shared steps.
-                    let msgs: Vec<Vec<f64>> = steps
-                        .iter()
-                        .map(|&(i, j)| {
-                            let mut m = Vec::with_capacity(2 * h);
-                            m.extend_from_slice(row(&step_service[i][j], b, h));
-                            m.extend_from_slice(row(&frag_prev[i][j], b, h));
-                            m
-                        })
-                        .collect();
-                    md_data.extend_from_slice(&aggregate_row(net, row(h_dev_k, b, h), &msgs));
-                }
-            }
-            let m_d = Tensor::matrix(bsz, 2 * h, md_data);
-            // Eq. 9.
-            *h_dev_k = net.phi_d.forward_batched(store, &m_d, h_dev_k);
+/// Predict every graph of `graphs`, one prediction vector per graph in
+/// input order. Graphs that share a skeleton are stacked into one pass;
+/// a batch of mixed skeletons runs one pass per skeleton.
+pub(crate) fn predict(net: &ChainNet, graphs: &[PlacementGraph]) -> Vec<Vec<PerfPrediction>> {
+    let packed = Packed::new(net);
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (idx, g) in graphs.iter().enumerate() {
+        match groups
+            .iter_mut()
+            .find(|grp| same_skeleton(&graphs[grp[0]], g))
+        {
+            Some(grp) => grp.push(idx),
+            None => groups.push(vec![idx]),
         }
     }
-
-    // Line 17 / Eq. 12: prediction heads, one batched MLP per chain.
-    let mut tput_cols: Vec<Tensor> = Vec::with_capacity(num_chains);
-    let mut lat_cols: Vec<Tensor> = Vec::with_capacity(num_chains);
-    for i in 0..num_chains {
-        let lat_latent = latency_latent(net, &h_frag[i], bsz, h);
-        let mut t_raw = net.mlp_tput.forward_batched(store, &h_service[i]);
-        let mut l_raw = net.mlp_latency.forward_batched(store, &lat_latent);
-        if matches!(net.config.target_mode, crate::config::TargetMode::Ratio) {
-            for v in t_raw.data_mut() {
-                *v = 1.0 / (1.0 + (-*v).exp());
-            }
-            for v in l_raw.data_mut() {
-                *v = 1.0 / (1.0 + (-*v).exp());
-            }
-        }
-        tput_cols.push(t_raw);
-        lat_cols.push(l_raw);
-    }
-
-    graphs
-        .iter()
-        .enumerate()
-        .map(|(b, graph)| {
-            (0..num_chains)
-                .map(|i| {
-                    let t_val = tput_cols[i].data()[b];
-                    let l_val = lat_cols[i].data()[b];
-                    let (throughput, latency) =
-                        outputs_to_natural_units(net.config.target_mode, graph, i, t_val, l_val);
-                    PerfPrediction {
-                        throughput,
-                        latency,
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Whether all graphs share the skeleton the stacked representation needs.
-fn uniform_structure(graphs: &[PlacementGraph]) -> bool {
-    let g0 = &graphs[0];
-    graphs[1..].iter().all(|g| {
-        g.feature_mode == g0.feature_mode
-            && g.devices.len() == g0.devices.len()
-            && g.chains.len() == g0.chains.len()
-            && g.chains
-                .iter()
-                .zip(&g0.chains)
-                .all(|(a, b)| a.steps.len() == b.steps.len())
-    })
-}
-
-/// Row `b` of a `(B, w)` matrix.
-#[inline]
-fn row(t: &Tensor, b: usize, w: usize) -> &[f64] {
-    &t.data()[b * w..(b + 1) * w]
-}
-
-/// Stack one feature vector per graph into a `(B, dim)` matrix.
-fn stack_rows<'g>(
-    graphs: &'g [PlacementGraph],
-    f: impl Fn(&'g PlacementGraph) -> &'g [f64],
-) -> Tensor {
-    let dim = f(&graphs[0]).len();
-    let mut data = Vec::with_capacity(graphs.len() * dim);
-    for g in graphs {
-        data.extend_from_slice(f(g));
-    }
-    Tensor::matrix(graphs.len(), dim, data)
-}
-
-/// Build the `(B, 2h)` message `[left_b || h_dev[device_b(i, j)]_b]` where
-/// each graph contributes its own placement's device row (Eqs. 6 and 8).
-fn gather_message(
-    left: &Tensor,
-    h_dev: &[Tensor],
-    graphs: &[PlacementGraph],
-    i: usize,
-    j: usize,
-    h: usize,
-) -> Tensor {
-    let bsz = graphs.len();
-    let mut data = Vec::with_capacity(bsz * 2 * h);
-    for (b, graph) in graphs.iter().enumerate() {
-        data.extend_from_slice(row(left, b, h));
-        data.extend_from_slice(row(&h_dev[graph.chains[i].steps[j].device], b, h));
-    }
-    Tensor::matrix(bsz, 2 * h, data)
-}
-
-/// Attention aggregation `f_multi` (Eqs. 14-16) for one (graph, device)
-/// pair, with the per-message matvecs of every head batched into `(T, ·)`
-/// matmuls. Mirrors `ChainNet::aggregate_device_messages` expression for
-/// expression.
-fn aggregate_row(net: &ChainNet, h_dev_row: &[f64], msgs: &[Vec<f64>]) -> Vec<f64> {
-    let store = &net.store;
-    let t_cnt = msgs.len();
-    let msg_w = 2 * h_dev_row.len();
-    let mut m_data = Vec::with_capacity(t_cnt * msg_w);
-    let mut c_data = Vec::with_capacity(t_cnt * (h_dev_row.len() + msg_w));
-    for m in msgs {
-        m_data.extend_from_slice(m);
-        c_data.extend_from_slice(h_dev_row);
-        c_data.extend_from_slice(m);
-    }
-    let m_mat = Tensor::matrix(t_cnt, msg_w, m_data);
-    let c_mat = Tensor::matrix(t_cnt, h_dev_row.len() + msg_w, c_data);
-
-    let mut out = Vec::with_capacity(msg_w);
-    for head in &net.attention {
-        // e_t = a^T LeakyReLU(W [h_k || m_t]), all T score rows at once.
-        let mut act = c_mat.matmul_bt(store.value(head.w_score));
-        let slope = net.config.leaky_slope;
-        for v in act.data_mut() {
-            *v = if *v > 0.0 { *v } else { slope * *v };
-        }
-        let scores = act.matmul_bt(store.value(head.a));
-        // Softmax in the tape's exact evaluation order: max-subtract,
-        // exp in index order, sum, divide.
-        let max = scores
-            .data()
-            .iter()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max);
-        let mut weights: Vec<f64> = scores.data().iter().map(|&v| (v - max).exp()).collect();
-        let z: f64 = weights.iter().sum();
-        for e in &mut weights {
-            *e /= z;
-        }
-        // Σ_t α_t (W_msg m_t), accumulated in ascending t like the tape's
-        // weighted_sum.
-        let transformed = m_mat.matmul_bt(store.value(head.w_msg));
-        let head_w = transformed.cols();
-        let base = out.len();
-        out.resize(base + head_w, 0.0);
-        for (tr, &alpha) in transformed.data().chunks_exact(head_w).zip(&weights) {
-            for (o, &v) in out[base..].iter_mut().zip(tr) {
-                *o += alpha * v;
-            }
+    let mut out = vec![Vec::new(); graphs.len()];
+    for grp in groups {
+        let members: Vec<&PlacementGraph> = grp.iter().map(|&i| &graphs[i]).collect();
+        for (idx, preds) in grp.into_iter().zip(packed.forward(&members)) {
+            out[idx] = preds;
         }
     }
     out
 }
 
-/// The latency head input (Eq. 12): elementwise mean of the chain's
-/// fragment states, scaled by the step count in `Absolute` mode — each
-/// expression matching the tape's `mean_vecs` / `affine` ops exactly.
-fn latency_latent(net: &ChainNet, frags: &[Tensor], bsz: usize, h: usize) -> Tensor {
-    let mut buf = vec![0.0; bsz * h];
-    for f in frags {
-        for (a, b) in buf.iter_mut().zip(f.data()) {
-            *a += b;
+/// Predict one graph: a batch of one.
+pub(crate) fn predict_one(net: &ChainNet, graph: &PlacementGraph) -> Vec<PerfPrediction> {
+    Packed::new(net).forward(&[graph]).pop().unwrap_or_default()
+}
+
+/// Whether two graphs can share a stacked pass.
+fn same_skeleton(a: &PlacementGraph, b: &PlacementGraph) -> bool {
+    a.feature_mode == b.feature_mode
+        && a.devices.len() == b.devices.len()
+        && a.chains.len() == b.chains.len()
+        && a.chains
+            .iter()
+            .zip(&b.chains)
+            .all(|(x, y)| x.steps.len() == y.steps.len())
+}
+
+/// ChainNet's weights for one inference call, in the (k, n) layout of
+/// [`matmul_kn_into`]. Built per call and dropped after it, so nothing
+/// goes stale when the weights are trained or replaced.
+struct Packed<'n> {
+    net: &'n ChainNet,
+    enc_service: PackedLinear,
+    enc_frag: PackedLinear,
+    enc_dev: PackedLinear,
+    phi_c: PackedGru,
+    phi_f: PackedGru,
+    phi_d: PackedGru,
+    /// Every head's `w_score`, side by side: `(3h, heads·h)`.
+    w_score: Vec<f64>,
+    /// Every head's scoring vector `a`, head after head.
+    a: Vec<f64>,
+    /// Every head's `w_msg`, side by side: `(2h, 2h)`.
+    w_msg: Vec<f64>,
+    mlp_tput: PackedMlp,
+    mlp_latency: PackedMlp,
+}
+
+impl<'n> Packed<'n> {
+    fn new(net: &'n ChainNet) -> Self {
+        let store = &net.store;
+        let w_score: Vec<_> = net.attention.iter().map(|hd| hd.w_score).collect();
+        let w_msg: Vec<_> = net.attention.iter().map(|hd| hd.w_msg).collect();
+        Self {
+            net,
+            enc_service: net.enc_service.pack(store),
+            enc_frag: net.enc_frag.pack(store),
+            enc_dev: net.enc_dev.pack(store),
+            phi_c: net.phi_c.pack(store),
+            phi_f: net.phi_f.pack(store),
+            phi_d: net.phi_d.pack(store),
+            w_score: pack_kn(store, &w_score),
+            a: net
+                .attention
+                .iter()
+                .flat_map(|hd| store.value(hd.a).data().iter().copied())
+                .collect(),
+            w_msg: pack_kn(store, &w_msg),
+            mlp_tput: net.mlp_tput.pack(store),
+            mlp_latency: net.mlp_latency.pack(store),
         }
     }
-    let n = frags.len() as f64;
-    for x in &mut buf {
+
+    /// Algorithm 2 over a group of graphs sharing one skeleton. State
+    /// row `(slot, b)` of graph `b` lives at `(slot·B + b)·h`.
+    fn forward(&self, gs: &[&PlacementGraph]) -> Vec<Vec<PerfPrediction>> {
+        let Some(g0) = gs.first() else {
+            return Vec::new();
+        };
+        let cfg = &self.net.config;
+        let (bsz, h) = (gs.len(), cfg.hidden);
+        // Step slots in traversal order: chain i's step j is slot
+        // `first[i] + j`.
+        let mut first = Vec::with_capacity(g0.chains.len());
+        let mut steps = Vec::new();
+        for (i, c) in g0.chains.iter().enumerate() {
+            first.push(steps.len());
+            steps.extend((0..c.steps.len()).map(|j| (i, j)));
+        }
+        let block = bsz * h;
+
+        // Line 1: encode input features.
+        let encode =
+            |enc: &PackedLinear, slots: usize, feat: &dyn Fn(&PlacementGraph, usize) -> &[f64]| {
+                let mut x = Vec::new();
+                for s in 0..slots {
+                    for g in gs {
+                        x.extend_from_slice(feat(g, s));
+                    }
+                }
+                let mut out = vec![0.0; slots * block];
+                enc.forward_into(&x, &mut out);
+                out
+            };
+        let mut hs = encode(&self.enc_service, g0.chains.len(), &|g, i| {
+            &g.chains[i].service_feat
+        });
+        let mut hf = encode(&self.enc_frag, steps.len(), &|g, s| {
+            let (i, j) = steps[s];
+            &g.chains[i].steps[j].frag_feat
+        });
+        let mut hd = encode(&self.enc_dev, g0.devices.len(), &|g, k| &g.devices[k].feat);
+
+        // Lines 2-16: N message-passing iterations. hs, hf and hd hold
+        // the service, fragment and device states; fp is hf as the
+        // iteration found it, ss each step's new service state.
+        let mut fp = vec![0.0; hf.len()];
+        let mut ss = vec![0.0; hf.len()];
+        let (mut msg, mut wx, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+        for _n in 0..cfg.iterations {
+            // Snapshot h_j^{(n-1)} (Eqs. 6 and 10).
+            fp.copy_from_slice(&hf);
+
+            // Eq. 6 for every step: m_C = [h_j^(n-1) || h_k^(n-1)]. It
+            // reads only previous-iteration states, so φ_C's input
+            // products for all steps are one kernel call.
+            step_messages(&mut msg, &fp, &hd, gs, &steps, h);
+            wx.clear();
+            wx.resize(steps.len() * bsz * 3 * h, 0.0);
+            self.phi_c.input_products(&msg, &mut wx);
+            // Eqs. 4-5: the recurrent half walks each sequence.
+            for (i, c) in g0.chains.iter().enumerate() {
+                let h_i = &mut hs[i * block..(i + 1) * block];
+                for s in first[i]..first[i] + c.steps.len() {
+                    let wx_s = &wx[s * 3 * block..(s + 1) * 3 * block];
+                    self.phi_c.step_from_products(wx_s, h_i, &mut scratch);
+                    ss[s * block..(s + 1) * block].copy_from_slice(h_i);
+                }
+            }
+
+            // Eqs. 7-8 for every step: m_F = [h_i^(n),j || h_k^(n-1)];
+            // hf still holds h_j^(n-1) and is updated in place.
+            step_messages(&mut msg, &ss, &hd, gs, &steps, h);
+            self.phi_f.step(&msg, &mut hf, &mut wx, &mut scratch);
+
+            // Lines 12-15 for every device: Eq. 10 messages, attention
+            // (Eqs. 14-16) where steps share a device, then Eq. 9.
+            self.device_messages(&mut msg, &ss, &fp, &hd, gs, &first);
+            self.phi_d.step(&msg, &mut hd, &mut wx, &mut scratch);
+        }
+
+        // Line 17 / Eq. 12: prediction heads over every chain at once.
+        let mut lat_latent = vec![0.0; hs.len()];
+        for (i, c) in g0.chains.iter().enumerate() {
+            latency_latent(
+                cfg.target_mode,
+                &hf[first[i] * block..(first[i] + c.steps.len()) * block],
+                &mut lat_latent[i * block..(i + 1) * block],
+            );
+        }
+        let mut t_raw = self.mlp_tput.forward(&hs);
+        let mut l_raw = self.mlp_latency.forward(&lat_latent);
+        if matches!(cfg.target_mode, TargetMode::Ratio) {
+            for v in t_raw.iter_mut().chain(l_raw.iter_mut()) {
+                *v = 1.0 / (1.0 + (-*v).exp());
+            }
+        }
+
+        gs.iter()
+            .enumerate()
+            .map(|(b, graph)| {
+                (0..g0.chains.len())
+                    .map(|i| {
+                        let (throughput, latency) = outputs_to_natural_units(
+                            cfg.target_mode,
+                            graph,
+                            i,
+                            t_raw[i * bsz + b],
+                            l_raw[i * bsz + b],
+                        );
+                        PerfPrediction {
+                            throughput,
+                            latency,
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The φ_D inputs `m_D` of every (device, graph) row: the lone Eq. 10
+    /// message `[h_i^(n),j || h_j^(n-1)]` of a device one step uses, or
+    /// the attention aggregate `f_multi` (Eqs. 14-16) of a shared one.
+    /// The attention products of every shared device run as one kernel
+    /// call each for the scores and the value transforms.
+    fn device_messages(
+        &self,
+        msg: &mut Vec<f64>,
+        ss: &[f64],
+        fp: &[f64],
+        hd: &[f64],
+        gs: &[&PlacementGraph],
+        first: &[usize],
+    ) {
+        let (bsz, h) = (gs.len(), self.net.config.hidden);
+        let row = |slot: usize, b: usize| (slot * bsz + b) * h..(slot * bsz + b + 1) * h;
+        let n_dev = hd.len() / (bsz * h).max(1);
+        msg.clear();
+        msg.resize(n_dev * bsz * 2 * h, 0.0);
+        // Shared devices: (output row, first attention row, step count).
+        let mut shared = Vec::new();
+        let (mut att_in, mut att_msg) = (Vec::new(), Vec::new());
+        for k in 0..n_dev {
+            for (b, g) in gs.iter().enumerate() {
+                let out_row = k * bsz + b;
+                let dev_steps = &g.devices[k].steps;
+                if let [(i, j)] = dev_steps[..] {
+                    let s = first[i] + j;
+                    let out = &mut msg[out_row * 2 * h..(out_row + 1) * 2 * h];
+                    out[..h].copy_from_slice(&ss[row(s, b)]);
+                    out[h..].copy_from_slice(&fp[row(s, b)]);
+                    continue;
+                }
+                shared.push((out_row, att_msg.len() / (2 * h).max(1), dev_steps.len()));
+                for &(i, j) in dev_steps {
+                    let s = first[i] + j;
+                    att_in.extend_from_slice(&hd[row(k, b)]);
+                    for part in [&ss[row(s, b)], &fp[row(s, b)]] {
+                        att_in.extend_from_slice(part);
+                        att_msg.extend_from_slice(part);
+                    }
+                }
+            }
+        }
+        if shared.is_empty() {
+            return;
+        }
+
+        // e_t = a^T LeakyReLU(W [h_k || m_t]) for every head and row.
+        let heads = self.net.attention.len();
+        let rows = att_msg.len() / (2 * h);
+        let mut act = vec![0.0; rows * heads * h];
+        matmul_kn_into(&att_in, &self.w_score, 3 * h, heads * h, &mut act);
+        let slope = self.net.config.leaky_slope;
+        for v in &mut act {
+            *v = if *v > 0.0 { *v } else { slope * *v };
+        }
+        let scores: Vec<f64> = act
+            .chunks_exact(h.max(1))
+            .zip(self.a.chunks_exact(h.max(1)).cycle())
+            .map(|(x, a)| {
+                let mut acc = 0.0;
+                for (&w, &v) in a.iter().zip(x) {
+                    acc += w * v;
+                }
+                acc
+            })
+            .collect();
+        // W_msg m_t for every head and row.
+        let mut values = vec![0.0; rows * 2 * h];
+        matmul_kn_into(&att_msg, &self.w_msg, 2 * h, 2 * h, &mut values);
+
+        let head_w = 2 * h / heads.max(1);
+        let mut alpha = Vec::new();
+        for (out_row, t0, t_cnt) in shared {
+            let out = &mut msg[out_row * 2 * h..(out_row + 1) * 2 * h];
+            for head in 0..heads {
+                // Softmax in the tape's order: max-subtract, exp in
+                // index order, sum, divide.
+                alpha.clear();
+                alpha.extend((t0..t0 + t_cnt).map(|t| scores[t * heads + head]));
+                let max = alpha.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                for e in &mut alpha {
+                    *e = (*e - max).exp();
+                }
+                let z: f64 = alpha.iter().copied().sum();
+                for e in &mut alpha {
+                    *e /= z;
+                }
+                // Σ_t α_t (W_msg m_t), accumulated in ascending t like
+                // the tape's weighted_sum.
+                let seg = head * head_w..(head + 1) * head_w;
+                for (t, &a_t) in (t0..t0 + t_cnt).zip(&alpha) {
+                    let v_row = &values[t * 2 * h..(t + 1) * 2 * h];
+                    for (o, &v) in out[seg.clone()].iter_mut().zip(&v_row[seg.clone()]) {
+                        *o += a_t * v;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The `(steps·B, 2h)` messages `[left_(s,b) || h_dev[device_b(s)]_b]`
+/// of every step slot `s` and graph `b` (Eqs. 6 and 8).
+fn step_messages(
+    msg: &mut Vec<f64>,
+    left: &[f64],
+    hd: &[f64],
+    gs: &[&PlacementGraph],
+    steps: &[(usize, usize)],
+    h: usize,
+) {
+    let bsz = gs.len();
+    msg.clear();
+    for (s, &(i, j)) in steps.iter().enumerate() {
+        for (b, g) in gs.iter().enumerate() {
+            let dev = g.chains[i].steps[j].device;
+            msg.extend_from_slice(&left[(s * bsz + b) * h..(s * bsz + b + 1) * h]);
+            msg.extend_from_slice(&hd[(dev * bsz + b) * h..(dev * bsz + b + 1) * h]);
+        }
+    }
+}
+
+/// The latency head input (Eq. 12) of one chain for every graph: the
+/// elementwise mean of its fragment-state blocks `frags`, scaled by the
+/// step count in `Absolute` mode — the tape's `mean_vecs` and `affine`
+/// expressions.
+fn latency_latent(mode: TargetMode, frags: &[f64], out: &mut [f64]) {
+    out.fill(0.0);
+    let blocks = frags.len() / out.len().max(1);
+    for f in frags.chunks_exact(out.len().max(1)) {
+        for (a, &v) in out.iter_mut().zip(f) {
+            *a += v;
+        }
+    }
+    let n = blocks as f64;
+    for x in out.iter_mut() {
         *x /= n;
     }
-    if matches!(net.config.target_mode, crate::config::TargetMode::Absolute) {
-        let alpha = frags.len() as f64;
-        for x in &mut buf {
+    if matches!(mode, TargetMode::Absolute) {
+        let alpha = blocks as f64;
+        for x in out.iter_mut() {
             *x = alpha * *x + 0.0;
         }
     }
-    Tensor::matrix(bsz, h, buf)
 }

@@ -4,7 +4,7 @@
 //! latency prediction heads (Eq. 12).
 
 use crate::config::{ModelConfig, TargetMode};
-use crate::data::{outputs_to_natural_units, targets_to_learning_space, ChainTargets};
+use crate::data::{targets_to_learning_space, ChainTargets};
 use crate::graph::PlacementGraph;
 use chainnet_neural::layers::{Activation, GruCell, Linear, Mlp};
 use chainnet_neural::params::{ParamId, ParamStore};
@@ -13,6 +13,7 @@ use chainnet_neural::tensor::Tensor;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Natural-unit prediction for one service chain.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -65,6 +66,46 @@ pub trait Surrogate {
     /// being interchangeable.
     fn predict_batch(&self, graphs: &[PlacementGraph]) -> Vec<Vec<PerfPrediction>> {
         graphs.iter().map(|g| self.predict(g)).collect()
+    }
+}
+
+/// A shared model is a surrogate too, so one loaded network can back
+/// many evaluators without copying its weights (the serving engine
+/// hands each search an `Arc` of its model). Mutable access clones the
+/// model first when it is shared, so training one handle never changes
+/// another.
+impl<S: Surrogate + Clone> Surrogate for Arc<S> {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+
+    fn config(&self) -> &ModelConfig {
+        (**self).config()
+    }
+
+    fn params(&self) -> &ParamStore {
+        (**self).params()
+    }
+
+    fn params_mut(&mut self) -> &mut ParamStore {
+        Arc::make_mut(self).params_mut()
+    }
+
+    fn loss_on_graph(
+        &self,
+        tape: &mut Tape,
+        graph: &PlacementGraph,
+        targets: &[ChainTargets],
+    ) -> Var {
+        (**self).loss_on_graph(tape, graph, targets)
+    }
+
+    fn predict(&self, graph: &PlacementGraph) -> Vec<PerfPrediction> {
+        (**self).predict(graph)
+    }
+
+    fn predict_batch(&self, graphs: &[PlacementGraph]) -> Vec<Vec<PerfPrediction>> {
+        (**self).predict_batch(graphs)
     }
 }
 
@@ -452,34 +493,23 @@ impl Surrogate for ChainNet {
         total.expect("graph has at least one chain")
     }
 
+    /// The tape-free inference forward at B = 1 (see
+    /// `crate::batch_infer`): no tape is built, and the result is
+    /// bit-identical to [`ChainNet::forward`] followed by
+    /// [`outputs_to_natural_units`](crate::data::outputs_to_natural_units).
     fn predict(&self, graph: &PlacementGraph) -> Vec<PerfPrediction> {
-        let mut tape = Tape::new();
-        let outputs = self.forward(&mut tape, graph);
-        outputs
-            .into_iter()
-            .enumerate()
-            .map(|(i, (t, l))| {
-                let t_val = tape.value(t).item();
-                let l_val = tape.value(l).item();
-                let (throughput, latency) =
-                    outputs_to_natural_units(self.config.target_mode, graph, i, t_val, l_val);
-                PerfPrediction {
-                    throughput,
-                    latency,
-                }
-            })
-            .collect()
+        crate::batch_infer::predict_one(self, graph)
     }
 
-    /// Vectorized batch inference: structurally uniform graphs (equal
-    /// chain/step/device counts and feature mode — e.g. an SA
-    /// neighborhood of one problem) are evaluated with one stacked
-    /// matrix multiplication per weight per algorithm step instead of B
-    /// separate matvecs. Mixed-structure batches fall back to the
-    /// sequential loop. Outputs are bit-identical either way (see
+    /// The same inference forward as [`Surrogate::predict`], stacked:
+    /// graphs sharing a skeleton (chain/step/device counts and feature
+    /// mode — e.g. an SA neighbourhood of one problem) run as one pass
+    /// with one kernel call per weight per algorithm step, and a mixed
+    /// batch runs one pass per skeleton. Outputs are bit-identical to
+    /// [`Surrogate::predict`] on each graph (see
     /// `tests/batched_inference.rs`).
     fn predict_batch(&self, graphs: &[PlacementGraph]) -> Vec<Vec<PerfPrediction>> {
-        crate::batch_infer::predict_batch_chainnet(self, graphs)
+        crate::batch_infer::predict(self, graphs)
     }
 }
 
@@ -740,6 +770,26 @@ mod tests {
         let mut trace = ForwardTrace::default();
         let _ = net.forward_traced(&mut tape, &graph, Some(&mut trace));
         assert!(trace.attention.is_empty());
+    }
+
+    #[test]
+    fn shared_model_predicts_alike_and_copies_on_write() {
+        let net = small_net();
+        let graph = PlacementGraph::from_model(&shared_device_model(), net.config.feature_mode);
+        let shared = Arc::new(net.clone());
+        let mut handle = Arc::clone(&shared);
+        assert_eq!(handle.predict(&graph), net.predict(&graph));
+        assert_eq!(
+            handle.predict_batch(std::slice::from_ref(&graph)),
+            net.predict_batch(std::slice::from_ref(&graph))
+        );
+        let id = handle.params().ids().next().unwrap();
+        handle.params_mut().value_mut(id).data_mut()[0] += 1.0;
+        assert!(
+            !Arc::ptr_eq(&shared, &handle),
+            "a write un-shares the handle"
+        );
+        assert_eq!(*shared, net, "the shared model is untouched");
     }
 
     #[test]

@@ -11,12 +11,15 @@
 //!   through one `matmul_bt` per weight instead of `B` matvecs, for
 //!   mini-batch training. Row `b` is bit-identical to `forward` on
 //!   row `b`.
-//! * `forward_batched` — tape-free row-batched inference (no gradients).
+//! * `pack` — a tape-free inference copy of the layer ([`PackedLinear`],
+//!   [`PackedMlp`], [`PackedGru`]) whose weights are transposed to the
+//!   (k, n) layout of [`matmul_kn_into`]; every output is bit-identical
+//!   to `forward` on the same input.
 
 use crate::params::{ParamId, ParamStore};
 use crate::scalar::Scalar;
 use crate::tape::{Tape, Var};
-use crate::tensor::Tensor;
+use crate::tensor::matmul_kn_into;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -49,34 +52,25 @@ impl Activation {
         }
     }
 
-    /// Apply the activation elementwise in place (tape-free batched
-    /// inference). Uses the exact same expressions as the tape ops, so
-    /// results are bit-identical to [`Activation::apply`].
-    pub fn apply_batched<S: Scalar>(self, x: &mut Tensor<S>) {
-        match self {
-            Activation::Relu => {
-                for v in x.data_mut() {
-                    *v = v.max(S::ZERO);
-                }
-            }
-            Activation::Tanh => {
-                for v in x.data_mut() {
-                    *v = v.tanh();
-                }
-            }
-            Activation::Sigmoid => {
-                for v in x.data_mut() {
-                    *v = S::ONE / (S::ONE + (-*v).exp());
-                }
-            }
-            Activation::LeakyRelu => {
-                for v in x.data_mut() {
-                    if *v <= S::ZERO {
-                        *v *= S::from_f64(0.01);
+    /// Apply the activation elementwise in place (tape-free inference),
+    /// with the exact expressions of the tape ops, so results are
+    /// bit-identical to [`Activation::apply`].
+    pub fn apply_slice<S: Scalar>(self, xs: &mut [S]) {
+        let slope = S::from_f64(0.01);
+        for v in xs {
+            *v = match self {
+                Activation::Relu => v.max(S::ZERO),
+                Activation::Tanh => v.tanh(),
+                Activation::Sigmoid => S::ONE / (S::ONE + (-*v).exp()),
+                Activation::LeakyRelu => {
+                    if *v > S::ZERO {
+                        *v
+                    } else {
+                        slope * *v
                     }
                 }
-            }
-            Activation::Identity => {}
+                Activation::Identity => *v,
+            };
         }
     }
 }
@@ -160,19 +154,48 @@ impl Linear {
         tape.add_rows(wx, b)
     }
 
-    /// Tape-free batched forward: `x` is `(B, in_dim)` with one input per
-    /// row; returns `(B, out_dim)`. One blocked matmul replaces B
-    /// matvecs; each output row is bit-identical to
-    /// [`Linear::forward`] on the corresponding input row.
-    pub fn forward_batched<S: Scalar>(&self, store: &ParamStore<S>, x: &Tensor<S>) -> Tensor<S> {
-        let mut out = x.matmul_bt(store.value(self.w));
-        let b = store.value(self.b).data();
-        for row in out.data_mut().chunks_exact_mut(b.len()) {
-            for (o, &bias) in row.iter_mut().zip(b) {
-                *o += bias;
-            }
+    /// The inference copy of this layer, weights in (k, n) layout.
+    pub fn pack<S: Scalar>(&self, store: &ParamStore<S>) -> PackedLinear<S> {
+        PackedLinear {
+            w_kn: pack_kn(store, &[self.w]),
+            b: store.value(self.b).data().to_vec(),
+            in_dim: self.in_dim,
+            out_dim: self.out_dim,
         }
-        out
+    }
+}
+
+/// A [`Linear`] layer packed for tape-free inference: `W` transposed to
+/// `(in_dim, out_dim)` for [`matmul_kn_into`]. Built per forward call,
+/// never stored, so it cannot go stale when the weights train.
+#[derive(Debug, Clone)]
+pub struct PackedLinear<S: Scalar = f64> {
+    w_kn: Vec<S>,
+    b: Vec<S>,
+    in_dim: usize,
+    out_dim: usize,
+}
+
+impl<S: Scalar> PackedLinear<S> {
+    /// `out = x W^T + b` for every `in_dim`-wide row of `x`, each output
+    /// row bit-identical to [`Linear::forward`] on that input row.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `x` holds `rows * in_dim` and `out` `rows * out_dim`
+    /// scalars for one row count.
+    pub fn forward_into(&self, x: &[S], out: &mut [S]) {
+        matmul_kn_into(x, &self.w_kn, self.in_dim, self.out_dim, out);
+        add_rows(out, &self.b);
+    }
+}
+
+/// `out[row] += bias` for every row — the tape's `add(wx, b)`.
+fn add_rows<S: Scalar>(out: &mut [S], bias: &[S]) {
+    for row in out.chunks_exact_mut(bias.len().max(1)) {
+        for (o, &b) in row.iter_mut().zip(bias) {
+            *o += b;
+        }
     }
 }
 
@@ -250,19 +273,41 @@ impl Mlp {
         self.layers[self.layers.len() - 1].out_dim()
     }
 
-    /// Tape-free batched forward over `(B, in_dim)` rows; row-for-row
-    /// bit-identical to [`Mlp::forward`].
-    pub fn forward_batched<S: Scalar>(&self, store: &ParamStore<S>, x: &Tensor<S>) -> Tensor<S> {
+    /// The inference copy of this MLP, weights in (k, n) layout.
+    pub fn pack<S: Scalar>(&self, store: &ParamStore<S>) -> PackedMlp<S> {
+        PackedMlp {
+            layers: self.layers.iter().map(|l| l.pack(store)).collect(),
+            activation: self.activation,
+        }
+    }
+}
+
+/// An [`Mlp`] packed for tape-free inference (see [`PackedLinear`]).
+#[derive(Debug, Clone)]
+pub struct PackedMlp<S: Scalar = f64> {
+    layers: Vec<PackedLinear<S>>,
+    activation: Activation,
+}
+
+impl<S: Scalar> PackedMlp<S> {
+    /// Run every `in_dim`-wide row of `x` through the MLP, returning the
+    /// `(rows, out_dim)` outputs; row-for-row bit-identical to
+    /// [`Mlp::forward`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `x` is a whole number of input rows.
+    pub fn forward(&self, x: &[S]) -> Vec<S> {
         let last = self.layers.len() - 1;
-        let mut cur = self.layers[0].forward_batched(store, x);
-        if last > 0 {
-            self.activation.apply_batched(&mut cur);
-            for (i, layer) in self.layers.iter().enumerate().skip(1) {
-                cur = layer.forward_batched(store, &cur);
-                if i < last {
-                    self.activation.apply_batched(&mut cur);
-                }
+        let rows = x.len() / self.layers[0].in_dim.max(1);
+        let mut cur = x.to_vec();
+        for (i, layer) in self.layers.iter().enumerate() {
+            let mut next = vec![S::ZERO; rows * layer.out_dim];
+            layer.forward_into(&cur, &mut next);
+            if i < last {
+                self.activation.apply_slice(&mut next);
             }
+            cur = next;
         }
         cur
     }
@@ -406,50 +451,145 @@ impl GruCell {
         tape.add(a, b)
     }
 
-    /// Tape-free batched recurrence: `x` is `(B, input_dim)` and `h` is
-    /// `(B, hidden_dim)`, one independent cell step per row. Every
-    /// intermediate uses the exact expressions (and evaluation order) of
-    /// [`GruCell::forward`], so each output row is bit-identical to the
-    /// tape path on that row.
-    pub fn forward_batched<S: Scalar>(
-        &self,
-        store: &ParamStore<S>,
-        x: &Tensor<S>,
-        h: &Tensor<S>,
-    ) -> Tensor<S> {
-        let gate = |w: ParamId, u: ParamId, b: ParamId, hx: &Tensor<S>| -> Tensor<S> {
-            let wx = x.matmul_bt(store.value(w));
-            let uh = hx.matmul_bt(store.value(u));
-            let mut s = wx.zip_map(&uh, |p, q| p + q);
-            let bias = store.value(b).data();
-            for row in s.data_mut().chunks_exact_mut(bias.len()) {
-                for (o, &bb) in row.iter_mut().zip(bias) {
-                    *o += bb;
-                }
+    /// The inference copy of this cell. The three input matrices are
+    /// packed side by side as one `(input_dim, 3·hidden)` operand, and
+    /// `U_z`, `U_r` as one `(hidden, 2·hidden)` operand, so each pair or
+    /// triple of products sharing an input runs as one kernel pass with
+    /// separate accumulators per output.
+    pub fn pack<S: Scalar>(&self, store: &ParamStore<S>) -> PackedGru<S> {
+        PackedGru {
+            w_kn: pack_kn(store, &[self.w_z, self.w_r, self.w_n]),
+            u_zr_kn: pack_kn(store, &[self.u_z, self.u_r]),
+            u_n_kn: pack_kn(store, &[self.u_n]),
+            b_z: store.value(self.b_z).data().to_vec(),
+            b_r: store.value(self.b_r).data().to_vec(),
+            b_n: store.value(self.b_n).data().to_vec(),
+            input_dim: self.input_dim,
+            hidden_dim: self.hidden_dim,
+        }
+    }
+}
+
+/// The (k, n) inference operand of the weight matrices `ids`: each is an
+/// `(n_i, k)` matrix, and their transposes are laid side by side as one
+/// `(k, Σ n_i)` row-major operand for [`matmul_kn_into`], so products
+/// that share an input run as one kernel pass. Output column
+/// `Σ_{i<m} n_i + j` is row `j` of matrix `m`.
+///
+/// # Panics
+///
+/// Panics if the matrices differ in column count.
+pub fn pack_kn<S: Scalar>(store: &ParamStore<S>, ids: &[ParamId]) -> Vec<S> {
+    let Some(&first) = ids.first() else {
+        return Vec::new();
+    };
+    let k = store.value(first).cols();
+    let width: usize = ids.iter().map(|&id| store.value(id).rows()).sum();
+    let mut out = vec![S::ZERO; k * width];
+    let mut col0 = 0;
+    for &id in ids {
+        let w = store.value(id);
+        assert_eq!(w.cols(), k, "pack_kn: matrices differ in column count");
+        for (j, w_row) in w.data().chunks_exact(k.max(1)).enumerate() {
+            for (kk, &v) in w_row.iter().enumerate() {
+                out[kk * width + col0 + j] = v;
             }
-            s
-        };
-        let mut z = gate(self.w_z, self.u_z, self.b_z, h);
-        for v in z.data_mut() {
-            *v = S::ONE / (S::ONE + (-*v).exp());
         }
-        let mut r = gate(self.w_r, self.u_r, self.b_r, h);
-        for v in r.data_mut() {
-            *v = S::ONE / (S::ONE + (-*v).exp());
+        col0 += w.rows();
+    }
+    out
+}
+
+/// A [`GruCell`] packed for tape-free inference (see
+/// [`GruCell::pack`]). Rows are independent cell steps.
+///
+/// A step splits in two: the input products `x [W_z|W_r|W_n]^T`, which
+/// do not depend on the state, and the recurrent rest. Callers that
+/// know several steps' inputs up front compute all their input products
+/// in one [`PackedGru::input_products`] call and then run the dependent
+/// [`PackedGru::step_from_products`] one step at a time.
+#[derive(Debug, Clone)]
+pub struct PackedGru<S: Scalar = f64> {
+    w_kn: Vec<S>,
+    u_zr_kn: Vec<S>,
+    u_n_kn: Vec<S>,
+    b_z: Vec<S>,
+    b_r: Vec<S>,
+    b_n: Vec<S>,
+    input_dim: usize,
+    hidden_dim: usize,
+}
+
+impl<S: Scalar> PackedGru<S> {
+    /// `wx = x [W_z | W_r | W_n]^T`: `(rows, 3·hidden)` for the
+    /// `input_dim`-wide rows of `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `x` and `wx` hold the same whole number of rows.
+    pub fn input_products(&self, x: &[S], wx: &mut [S]) {
+        matmul_kn_into(x, &self.w_kn, self.input_dim, 3 * self.hidden_dim, wx);
+    }
+
+    /// Advance every `hidden`-wide row of `h` by one cell step, in place,
+    /// from that row's [`input_products`](Self::input_products). Each
+    /// intermediate uses the expression and evaluation order of
+    /// [`GruCell::forward`] — `(W x + U h) + b`, the sigmoid and tanh of
+    /// the tape, `(-1·z + 1)·n + z·h` — so each row is bit-identical to
+    /// the tape step on that row. `scratch` is reused across calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `wx` holds `3·hidden` scalars per row of `h`.
+    pub fn step_from_products(&self, wx: &[S], h: &mut [S], scratch: &mut Vec<S>) {
+        let hd = self.hidden_dim;
+        let rows = h.len() / hd.max(1);
+        assert_eq!(wx.len(), rows * 3 * hd, "step_from_products: wx rows");
+        scratch.clear();
+        scratch.resize(rows * 4 * hd, S::ZERO);
+        let (zr, rest) = scratch.split_at_mut(rows * 2 * hd);
+        let (rh, un) = rest.split_at_mut(rows * hd);
+        matmul_kn_into(h, &self.u_zr_kn, hd, 2 * hd, zr);
+        let sigmoid = |v: S| S::ONE / (S::ONE + (-v).exp());
+        // z and r overwrite their recurrent products in place; r ⊙ h
+        // feeds the candidate's recurrent product.
+        for b in 0..rows {
+            let wx_row = &wx[b * 3 * hd..(b + 1) * 3 * hd];
+            let zr_row = &mut zr[b * 2 * hd..(b + 1) * 2 * hd];
+            let h_row = &h[b * hd..(b + 1) * hd];
+            let rh_row = &mut rh[b * hd..(b + 1) * hd];
+            for u in 0..hd {
+                zr_row[u] = sigmoid((wx_row[u] + zr_row[u]) + self.b_z[u]);
+                let r = sigmoid((wx_row[hd + u] + zr_row[hd + u]) + self.b_r[u]);
+                rh_row[u] = r * h_row[u];
+            }
         }
-        let rh = r.zip_map(h, |a, b| a * b);
-        let mut n = gate(self.w_n, self.u_n, self.b_n, &rh);
-        for v in n.data_mut() {
-            *v = v.tanh();
-        }
-        // h' = (1 - z) ⊙ n + z ⊙ h, in the tape's exact op order:
-        // affine(z, -1, 1), two muls, one add. The literal `-1.0 * v`
-        // replicates the tape's `alpha * x` term bitwise.
+        matmul_kn_into(rh, &self.u_n_kn, hd, hd, un);
         let neg_one = S::from_f64(-1.0);
-        let one_minus_z = z.map(|v| neg_one * v + S::ONE);
-        let a = one_minus_z.zip_map(&n, |p, q| p * q);
-        let b = z.zip_map(h, |p, q| p * q);
-        a.zip_map(&b, |p, q| p + q)
+        for b in 0..rows {
+            let wx_n = &wx[b * 3 * hd + 2 * hd..(b + 1) * 3 * hd];
+            let z_row = &zr[b * 2 * hd..b * 2 * hd + hd];
+            let un_row = &un[b * hd..(b + 1) * hd];
+            let h_row = &mut h[b * hd..(b + 1) * hd];
+            for u in 0..hd {
+                let n = ((wx_n[u] + un_row[u]) + self.b_n[u]).tanh();
+                let z = z_row[u];
+                h_row[u] = (neg_one * z + S::ONE) * n + z * h_row[u];
+            }
+        }
+    }
+
+    /// One full cell step for every row: [`input_products`] then
+    /// [`step_from_products`], with `h` updated in place.
+    ///
+    /// [`input_products`]: Self::input_products
+    /// [`step_from_products`]: Self::step_from_products
+    pub fn step(&self, x: &[S], h: &mut [S], wx: &mut Vec<S>, scratch: &mut Vec<S>) {
+        let rows = h.len() / self.hidden_dim.max(1);
+        wx.clear();
+        wx.resize(rows * 3 * self.hidden_dim, S::ZERO);
+        self.input_products(x, wx);
+        self.step_from_products(wx, h, scratch);
     }
 }
 
@@ -534,32 +674,47 @@ mod tests {
         assert_eq!(nonzero, 9);
     }
 
-    /// Batched (tape-free) layer forwards must reproduce the tape path
-    /// bit for bit, row by row.
+    /// Packed (tape-free) layer forwards must reproduce the tape path bit
+    /// for bit, row by row. A hidden width of 20 makes the GRU's fused
+    /// `3·hidden` operand span a 16-column block, an 8-column block and
+    /// a 4-column tail of the kernel.
     #[test]
-    fn batched_forwards_match_tape_bitwise() {
+    fn packed_forwards_match_tape_bitwise() {
+        const H: usize = 20;
         let mut rng = SmallRng::seed_from_u64(11);
         let mut store = ParamStore::new();
-        let lin = Linear::new(&mut store, "lin", 3, 4, &mut rng);
-        let mlp = Mlp::new(&mut store, "mlp", &[4, 4, 1], Activation::Relu, &mut rng);
-        let gru = GruCell::new(&mut store, "gru", 3, 4, &mut rng);
+        let lin = Linear::new(&mut store, "lin", 3, H, &mut rng);
+        let gru = GruCell::new(&mut store, "gru", 3, H, &mut rng);
+        let mlps: Vec<Mlp> = [
+            Activation::Relu,
+            Activation::Tanh,
+            Activation::Sigmoid,
+            Activation::LeakyRelu,
+            Activation::Identity,
+        ]
+        .into_iter()
+        .map(|act| Mlp::new(&mut store, "mlp", &[H, H, 1], act, &mut rng))
+        .collect();
 
         let xs: [Vec<f64>; 3] = [
             vec![0.4, -1.2, 0.9],
             vec![-0.3, 0.0, 2.5],
             vec![1.0, 1.0, -1.0],
         ];
-        let hs = [
-            vec![0.1, -0.2, 0.3, -0.4],
-            vec![0.0, 0.0, 0.0, 0.0],
-            vec![0.9, -0.9, 0.5, 0.25],
-        ];
-        let xb = Tensor::matrix(3, 3, xs.concat());
-        let hb = Tensor::matrix(3, 4, hs.concat());
+        let hs: Vec<Vec<f64>> = (0..3)
+            .map(|r| (0..H).map(|u| ((r * H + u) as f64 * 0.37).sin()).collect())
+            .collect();
 
-        let lin_b = lin.forward_batched(&store, &xb);
-        let gru_b = gru.forward_batched(&store, &xb, &hb);
-        let mlp_b = mlp.forward_batched(&store, &lin_b);
+        let mut lin_b = vec![0.0; 3 * H];
+        lin.pack(&store).forward_into(&xs.concat(), &mut lin_b);
+        let mut gru_b = hs.concat();
+        let (mut wx, mut scratch) = (Vec::new(), Vec::new());
+        gru.pack(&store)
+            .step(&xs.concat(), &mut gru_b, &mut wx, &mut scratch);
+        let mlp_b: Vec<Vec<f64>> = mlps
+            .iter()
+            .map(|m| m.pack(&store).forward(&lin_b))
+            .collect();
 
         for (row, (x0, h0)) in xs.iter().zip(&hs).enumerate() {
             let mut tape = Tape::new();
@@ -567,14 +722,16 @@ mod tests {
             let h = tape.leaf(Tensor::from_vec(h0.clone()));
             let ly = lin.forward(&mut tape, &store, x);
             let gy = gru.forward(&mut tape, &store, x, h);
-            let my = mlp.forward(&mut tape, &store, ly);
             for (c, &v) in tape.value(ly).data().iter().enumerate() {
-                assert_eq!(v.to_bits(), lin_b.data()[row * 4 + c].to_bits());
+                assert_eq!(v.to_bits(), lin_b[row * H + c].to_bits());
             }
             for (c, &v) in tape.value(gy).data().iter().enumerate() {
-                assert_eq!(v.to_bits(), gru_b.data()[row * 4 + c].to_bits());
+                assert_eq!(v.to_bits(), gru_b[row * H + c].to_bits());
             }
-            assert_eq!(tape.value(my).item().to_bits(), mlp_b.data()[row].to_bits());
+            for (mlp, out) in mlps.iter().zip(&mlp_b) {
+                let my = mlp.forward(&mut tape, &store, ly);
+                assert_eq!(tape.value(my).item().to_bits(), out[row].to_bits());
+            }
         }
     }
 

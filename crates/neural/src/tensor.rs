@@ -205,32 +205,6 @@ impl<S: Scalar> Tensor<S> {
         Tensor::matrix(x.len(), y.len(), data)
     }
 
-    /// Elementwise binary map.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn zip_map(&self, other: &Tensor<S>, f: impl Fn(S, S) -> S) -> Tensor<S> {
-        assert_eq!(self.shape, other.shape, "shape mismatch in zip_map");
-        Tensor {
-            shape: self.shape.clone(),
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        }
-    }
-
-    /// Elementwise unary map.
-    pub fn map(&self, f: impl Fn(S) -> S) -> Tensor<S> {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&a| f(a)).collect(),
-        }
-    }
-
     /// In-place elementwise accumulation `self += other`.
     ///
     /// # Panics
@@ -408,6 +382,25 @@ impl<S: Scalar> Tensor<S> {
         self.matmul_bt(&Tensor::matrix(n, k, bt))
     }
 
+    /// Matrix product `self (m, k) * w (k, n)` on the register-blocked
+    /// [`matmul_kn_into`] kernel, the inference kernel: `w` is a weight
+    /// matrix's (k, n) transpose, so one step of `k` reads a contiguous
+    /// run of output columns. Bit-identical to
+    /// [`matmul_naive`](Self::matmul_naive).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `self` is `(m, k)` and `w` is `(k, n)`.
+    pub fn matmul_kn(&self, w: &Tensor<S>) -> Tensor<S> {
+        assert!(self.is_matrix() && w.is_matrix(), "matmul_kn on non-matrix");
+        let (m, k) = (self.shape[0], self.shape[1]);
+        let (wk, n) = (w.shape[0], w.shape[1]);
+        assert_eq!(k, wk, "matmul_kn: inner dims {k} != {wk}");
+        let mut out = vec![S::ZERO; m * n];
+        matmul_kn_into(&self.data, &w.data, k, n, &mut out);
+        Tensor::matrix(m, n, out)
+    }
+
     /// Transpose of a matrix.
     ///
     /// # Panics
@@ -558,6 +551,104 @@ fn dot_lanes<S: Scalar>(a: &[S], bt_rows: &[S], out: &mut [S]) {
     out.copy_from_slice(&acc);
 }
 
+/// Output columns one register block of [`matmul_kn_into`] carries. 16
+/// `f64` accumulators fill eight SSE2 registers, enough independent
+/// add chains to cover the FP-add latency, with registers left for the
+/// broadcast input and the weight loads.
+const KN_BLOCK: usize = 16;
+
+/// The inference matmul `a (m, k) * w (k, n)` over raw slices, with `w`
+/// row-major (k, n) — a weight matrix's transpose — written into
+/// `out (m, n)`; `m` is `a.len() / k`.
+///
+/// Output columns are swept 16 at a time (then one block of
+/// 8, then the remaining columns), each block for every row. For each
+/// `k` the block
+/// broadcasts one input scalar against a contiguous run of `w`, so the
+/// loads are unit-stride and the multiply-adds of a block are
+/// independent. Every output element is still a single accumulator that
+/// starts from zero and adds its products in ascending `k`, with no
+/// fused multiply-add, so the result is bit-identical to
+/// [`Tensor::matmul_naive`], to [`Tensor::matmul_bt`] and to the tape's
+/// `matvec`. Training keeps [`Tensor::matmul_bt`]: its packed-A path is
+/// the faster shape for large `m`.
+///
+/// # Panics
+///
+/// Panics unless `a.len()` is a multiple of `k`, `w.len() == k * n`
+/// and `out.len() == m * n`.
+// lint:zero_alloc
+pub fn matmul_kn_into<S: Scalar>(a: &[S], w: &[S], k: usize, n: usize, out: &mut [S]) {
+    // With k = 0 the inputs are empty and only `out` knows the rows.
+    let m = a.len().checked_div(k).unwrap_or(out.len() / n.max(1));
+    assert!(
+        a.len() == m * k && w.len() == k * n && out.len() == m * n,
+        "matmul_kn_into: a {} / w {} / out {} do not fit k {k}, n {n}",
+        a.len(),
+        w.len(),
+        out.len()
+    );
+    if n == 0 {
+        return;
+    }
+    if k == 0 {
+        out.fill(S::ZERO);
+        return;
+    }
+    // Column blocks outside, rows inside: a block's (k, W) panel of `w`
+    // stays in L1 while every row sweeps it.
+    let rows = || a.chunks_exact(k).zip(0..m);
+    let mut j = 0;
+    while j + KN_BLOCK <= n {
+        for (a_row, i) in rows() {
+            kn_block::<S, KN_BLOCK>(a_row, w, n, j, &mut out[i * n + j..i * n + j + KN_BLOCK]);
+        }
+        j += KN_BLOCK;
+    }
+    if j + LANES <= n {
+        for (a_row, i) in rows() {
+            kn_block::<S, LANES>(a_row, w, n, j, &mut out[i * n + j..i * n + j + LANES]);
+        }
+        j += LANES;
+    }
+    if j < n {
+        for (a_row, i) in rows() {
+            kn_tail(a_row, w, n, j, &mut out[i * n + j..(i + 1) * n]);
+        }
+    }
+}
+
+/// `W` output columns `j0..j0 + W` of one row of [`matmul_kn_into`],
+/// held in registers across the whole `k` sweep.
+// lint:zero_alloc
+#[inline(always)]
+fn kn_block<S: Scalar, const W: usize>(a_row: &[S], w: &[S], n: usize, j0: usize, out: &mut [S]) {
+    let mut acc = [S::ZERO; W];
+    for (&x, w_row) in a_row.iter().zip(w.chunks_exact(n)) {
+        let cols = &w_row[j0..j0 + W];
+        for (acc_l, &v) in acc.iter_mut().zip(cols) {
+            *acc_l += x * v;
+        }
+    }
+    out.copy_from_slice(&acc);
+}
+
+/// The last `out.len() < LANES` columns of one row of
+/// [`matmul_kn_into`], same summation order as [`kn_block`].
+// lint:zero_alloc
+#[inline]
+fn kn_tail<S: Scalar>(a_row: &[S], w: &[S], n: usize, j0: usize, out: &mut [S]) {
+    let width = out.len();
+    debug_assert!(width < LANES);
+    let mut acc = [S::ZERO; LANES];
+    for (&x, w_row) in a_row.iter().zip(w.chunks_exact(n)) {
+        for (acc_l, &v) in acc[..width].iter_mut().zip(&w_row[j0..]) {
+            *acc_l += x * v;
+        }
+    }
+    out.copy_from_slice(&acc[..width]);
+}
+
 /// Ascending-order dot product of two equal-length slices: a single
 /// accumulator updated left to right, matching the naive kernels' (and
 /// `matvec`'s) summation order exactly.
@@ -610,14 +701,6 @@ mod tests {
         let a = Tensor::from_vec(vec![1., 2.]);
         let b = Tensor::from_vec(vec![3.]);
         assert_eq!(Tensor::concat(&[&a, &b]).data(), &[1., 2., 3.]);
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn zip_map_rejects_mismatch() {
-        let a = Tensor::from_vec(vec![1.]);
-        let b = Tensor::from_vec(vec![1., 2.]);
-        let _ = a.zip_map(&b, |x, y| x + y);
     }
 
     #[test]

@@ -29,8 +29,54 @@ fn matmul_pair(max_dim: usize) -> impl Strategy<Value = (Tensor, Tensor)> {
     })
 }
 
+/// `(A (m,k), W (k,n))` pairs for the inference kernel `matmul_kn`: m
+/// from 0 (no rows) to 9, and k, n from 1 up, so the cases include
+/// n = 1, n off every block width (16 and 8), and k = 1. The weight
+/// side mixes magnitudes so a reordered sum would show in the bits.
+fn kn_pair() -> impl Strategy<Value = (Tensor, Tensor)> {
+    (0..10usize, 1..40usize, 1..40usize).prop_flat_map(|(m, k, n)| {
+        (
+            proptest::collection::vec(-1e3f64..1e3, m * k),
+            proptest::collection::vec(-1e-3f64..1e3, k * n),
+        )
+            .prop_map(move |(a, w)| (Tensor::matrix(m, k, a), Tensor::matrix(k, n, w)))
+    })
+}
+
+fn assert_same_bits(fast: &Tensor, slow: &Tensor) -> Result<(), String> {
+    prop_assert_eq!(fast.shape(), slow.shape());
+    for (x, y) in fast.data().iter().zip(slow.data()) {
+        prop_assert!(x.to_bits() == y.to_bits(), "{} vs {}", x, y);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The register-blocked inference kernel == naive reference, bit for
+    /// bit, on ragged shapes.
+    #[test]
+    fn matmul_kn_matches_naive(pair in kn_pair()) {
+        let (a, w) = pair;
+        assert_same_bits(&a.matmul_kn(&w), &a.matmul_naive(&w))?;
+    }
+
+    /// The degenerate widths on their own: one output column (a head's
+    /// scalar readout) and one input (k = 1), for every m in 0..10.
+    #[test]
+    fn matmul_kn_matches_naive_at_n1_and_k1(
+        m in 0..10usize,
+        k in 1..40usize,
+        n in 1..40usize,
+        xs in proptest::collection::vec(-1e3f64..1e3, 400),
+    ) {
+        for (kk, nn) in [(k, 1), (1, n)] {
+            let a = Tensor::matrix(m, kk, xs[..m * kk].to_vec());
+            let w = Tensor::matrix(kk, nn, xs[m * kk..m * kk + kk * nn].to_vec());
+            assert_same_bits(&a.matmul_kn(&w), &a.matmul_naive(&w))?;
+        }
+    }
 
     /// Blocked kernel == naive reference, bit for bit (small shapes:
     /// exercises the fast path).

@@ -51,12 +51,14 @@ pub trait Evaluator {
 /// ([`SimulatedAnnealing::optimize_neighborhood_observed`](crate::sa::SimulatedAnnealing::optimize_neighborhood_observed),
 /// [`SimulatedAnnealing::optimize_checkpointed_observed`](crate::sa::SimulatedAnnealing::optimize_checkpointed_observed))
 /// hands it every candidate of a step in one call, letting surrogate
-/// backends amortize a single batched forward pass over the neighborhood.
+/// backends stack the whole neighborhood into one forward pass.
 ///
 /// The provided default simply loops over
 /// [`Evaluator::total_throughput`]; [`GnnEvaluator`] overrides it with
-/// [`Surrogate::predict_batch`], which is bit-identical to the loop, so
-/// callers may treat the two paths as interchangeable.
+/// [`Surrogate::predict_batch`]. For ChainNet that is the same inference
+/// forward as [`Surrogate::predict`] with the candidates stacked as
+/// rows, bit-identical to the loop, so callers may treat the two paths
+/// as interchangeable.
 pub trait BatchEvaluator: Evaluator {
     /// Estimate `X_total` for each placement, in input order. Per-candidate
     /// failures are per-slot `Err`s; one bad candidate never poisons the
@@ -232,7 +234,7 @@ impl<S: Surrogate> BatchEvaluator for GnnEvaluator<S> {
             // lint:allow(alloc_hygiene): one bind-error vec per batch,
             // amortized over the whole candidate set
             .collect();
-        // The stacked blocked-matmul kernel phase of batched inference.
+        // The inference forward over the whole candidate set, stacked.
         let matmul_span = self.tracer.span("neural.matmul");
         let batch_preds = self.model.predict_batch(&graphs);
         matmul_span.close();

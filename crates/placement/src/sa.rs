@@ -561,7 +561,8 @@ impl SimulatedAnnealing {
     /// Neighborhood-batched annealing: each step proposes up to
     /// `neighborhood` candidates from the current decision, scores them
     /// all in **one** [`BatchEvaluator::total_throughput_batch`] call
-    /// (one batched surrogate forward pass for [`GnnEvaluator`]), and
+    /// (for [`GnnEvaluator`], ChainNet's one inference forward with the
+    /// candidates stacked as rows), and
     /// runs the Metropolis accept/reject test against the best-scoring
     /// candidate. Failed candidate evaluations are counted in
     /// [`SaTrial::eval_failures`] and skipped; a step whose whole
@@ -577,8 +578,9 @@ impl SimulatedAnnealing {
     /// [`optimize_observed`](Self::optimize_observed); wider trajectories
     /// are deterministic in `(config.seed, neighborhood)` and identical
     /// across batched and per-candidate evaluator backends, because
-    /// [`GnnEvaluator`]'s batch path is bit-identical to its sequential
-    /// path.
+    /// [`GnnEvaluator`] scores a stacked candidate bit-identically to the
+    /// same candidate alone: both run the same forward, at B = k and
+    /// B = 1.
     ///
     /// [`GnnEvaluator`]: crate::evaluator::GnnEvaluator
     pub fn optimize_neighborhood_observed(
@@ -1693,9 +1695,10 @@ mod tests {
         assert_eq!(a.evaluations, b.evaluations);
     }
 
-    /// The batched surrogate backend and a sequential-only backend must
-    /// walk the exact same trajectory: the batch path is bit-identical
-    /// per candidate, and the driver consumes RNG identically.
+    /// The batched surrogate backend and a one-candidate-per-call
+    /// backend must walk the exact same trajectory: a stacked candidate
+    /// scores bit-identically to the same candidate alone, and the
+    /// driver consumes RNG identically.
     #[test]
     fn neighborhood_trajectory_identical_across_batched_and_sequential_backends() {
         use crate::evaluator::{BatchEvaluator, GnnEvaluator};
@@ -1703,7 +1706,7 @@ mod tests {
         use chainnet::model::ChainNet;
 
         /// A GnnEvaluator stripped of its batch override: scores each
-        /// candidate with a separate sequential forward pass.
+        /// candidate with its own B = 1 forward.
         struct SequentialOnly(GnnEvaluator<ChainNet>);
         impl Evaluator for SequentialOnly {
             fn name(&self) -> &str {

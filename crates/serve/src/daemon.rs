@@ -85,12 +85,13 @@ fn write_response(out: &Reply, resp: &Response) -> Result<(), ServeError> {
     Ok(())
 }
 
-/// What answers the requests behind the transport.
+/// What answers the requests behind the transport. Both are boxed:
+/// they differ in size by hundreds of bytes and the daemon holds one.
 enum Backend {
     /// Single-process: the deterministic engine, in this process.
-    Engine(Engine),
+    Engine(Box<Engine>),
     /// Multi-process: the supervised worker pool.
-    Supervisor(Supervisor),
+    Supervisor(Box<Supervisor>),
 }
 
 /// The long-running daemon wrapping a backend.
@@ -105,7 +106,7 @@ impl Daemon {
     /// Wrap an engine with the default queue capacity (64).
     pub fn new(engine: Engine) -> Self {
         Self {
-            backend: Backend::Engine(engine),
+            backend: Backend::Engine(Box::new(engine)),
             queue_capacity: 64,
             artifacts_dir: None,
             drain: Duration::from_secs(5),
@@ -115,7 +116,7 @@ impl Daemon {
     /// Wrap a supervised worker pool instead of an in-process engine.
     pub fn supervised(supervisor: Supervisor) -> Self {
         Self {
-            backend: Backend::Supervisor(supervisor),
+            backend: Backend::Supervisor(Box::new(supervisor)),
             queue_capacity: 64,
             artifacts_dir: None,
             drain: Duration::from_secs(5),
@@ -157,9 +158,9 @@ impl Daemon {
     /// Propagates transport I/O and final-flush failures.
     pub fn run_lines(self, input: impl BufRead, output: impl Write) -> Result<(), ServeError> {
         match self.backend {
-            Backend::Engine(engine) => run_lines_engine(engine, self.artifacts_dir, input, output),
+            Backend::Engine(engine) => run_lines_engine(*engine, self.artifacts_dir, input, output),
             Backend::Supervisor(sup) => {
-                run_lines_supervised(sup, self.queue_capacity, self.artifacts_dir, input, output)
+                run_lines_supervised(*sup, self.queue_capacity, self.artifacts_dir, input, output)
             }
         }
     }
@@ -202,7 +203,7 @@ impl Daemon {
                 let artifacts_dir = artifacts_dir.clone();
                 move || match backend {
                     Backend::Engine(engine) => {
-                        worker_loop(engine, rx, &obs, &depth, artifacts_dir.as_deref(), drain)
+                        worker_loop(*engine, rx, &obs, &depth, artifacts_dir.as_deref(), drain)
                     }
                     Backend::Supervisor(sup) => sup.run(rx, artifacts_dir, Some(depth)),
                 }

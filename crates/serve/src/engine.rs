@@ -27,6 +27,7 @@ use chainnet_qsim::faults::{FaultEvent, FaultKind};
 use chainnet_qsim::model::Placement;
 use chainnet_qsim::sim::SimConfig;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Schema version of serialized [`ServeState`] payloads; bump on any
@@ -143,7 +144,8 @@ pub struct Engine {
     config: EngineConfig,
     obs: Obs,
     state: ServeState,
-    surrogate: Option<ChainNet>,
+    /// Shared with every search's evaluator instead of copied into it.
+    surrogate: Option<Arc<ChainNet>>,
     store: Option<CkptStore>,
     next_seq: u64,
     dirty_places: u64,
@@ -168,7 +170,7 @@ impl Engine {
     /// fallback) instead of the analytic model alone.
     #[must_use]
     pub fn with_surrogate(mut self, model: ChainNet) -> Self {
-        self.surrogate = Some(model);
+        self.surrogate = Some(Arc::new(model));
         self
     }
 
@@ -585,7 +587,7 @@ impl Engine {
     ) -> SaResult {
         let mut ev: Box<dyn BatchEvaluator> = match &self.surrogate {
             Some(model) => Box::new(ResilientEvaluator::new_observed(
-                GnnEvaluator::new(model.clone()),
+                GnnEvaluator::new(Arc::clone(model)),
                 ApproxEvaluator::default(),
                 self.obs.clone(),
             )),
@@ -603,7 +605,7 @@ impl Engine {
         use chainnet_placement::evaluator::Evaluator as _;
         let mut ev = match &self.surrogate {
             Some(model) => {
-                let mut gnn = GnnEvaluator::new(model.clone());
+                let mut gnn = GnnEvaluator::new(Arc::clone(model));
                 return gnn.total_throughput(eff, placement).ok();
             }
             None => ApproxEvaluator::default(),

@@ -47,7 +47,11 @@
 //! `SOAK_QUERIES` (default 20000; CI smoke uses a few hundred),
 //! `SOAK_DAEMON` (path to the `chainnet-serve` binary, default derived
 //! from this executable's target dir), `SOAK_DIR` (state dir),
-//! `SOAK_WORKERS` (supervised-pool size for phases 6–8; 0 = skip).
+//! `SOAK_WORKERS` (supervised-pool size for phases 6–8; 0 = skip),
+//! `SOAK_MODEL` (a trained ChainNet JSON, bare or as the
+//! `{"model": …, "report": …}` files under `results/`; phases 1–5 then
+//! run the daemon with `--model`, so placements are scored by the
+//! paper's surrogate instead of the analytic evaluator).
 
 use chainnet_suite::obs::Snapshot;
 use chainnet_suite::placement::problem::PlacementProblem;
@@ -309,13 +313,20 @@ fn soak() -> SoakResult<String> {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
 
+    // Phases 1-5 serve with the surrogate when SOAK_MODEL names one.
+    let model_path = soak_model(&dir)?;
+    let model_args: Vec<&str> = match &model_path {
+        Some(p) => vec!["--model", p.to_str().ok_or("model path is not UTF-8")?],
+        None => Vec::new(),
+    };
+
     const QUEUE: usize = 32;
     let mut ledger: BTreeMap<u64, Answer> = BTreeMap::new();
     let mut sent: Vec<u64> = Vec::new();
     let mut next_id: u64 = 1;
     let wall = Instant::now();
 
-    let mut daemon = Daemon::spawn(&binary, &dir, QUEUE, &[])?;
+    let mut daemon = Daemon::spawn(&binary, &dir, QUEUE, &model_args)?;
 
     // ---- phase 1: topology + warmup --------------------------------
     let topo = topology_json();
@@ -466,7 +477,7 @@ fn soak() -> SoakResult<String> {
     }
     drop(daemon);
 
-    let mut daemon = Daemon::spawn(&binary, &dir, QUEUE, &[])?;
+    let mut daemon = Daemon::spawn(&binary, &dir, QUEUE, &model_args)?;
     let stats = daemon
         .call(&format!("{{\"id\":{next_id},\"body\":\"Stats\"}}"))?
         .ok_or("restarted daemon died on Stats")?;
@@ -611,11 +622,16 @@ fn soak() -> SoakResult<String> {
     let answered = ledger.len() as u64;
     let mut report = format!(
         "soak: PASS\n\
+         evaluator              {}\n\
          queries answered       {answered} (0 lost; {retried} retried across restart)\n\
          tight-deadline storm   {tight_placed} degraded placements, {tight_rejected} deadline rejections\n\
          overload burst         {overloaded}/{burst} shed with typed Overloaded\n\
          daemon-side latency    p50 {} / p99 {} ({} requests in the snapshot)\n\
          client wall clock      {elapsed:.1}s ({:.0} QPS end-to-end)",
+        match &model_path {
+            Some(_) => "ChainNet surrogate (--model), analytic fallback",
+            None => "analytic (no --model)",
+        },
         quantile(0.5),
         quantile(0.99),
         hist.count,
@@ -626,6 +642,23 @@ fn soak() -> SoakResult<String> {
         report.push_str(&s);
     }
     Ok(report)
+}
+
+/// The surrogate for phases 1-5: `SOAK_MODEL`'s ChainNet written as a
+/// bare model file into the state dir (the daemon's `--model` format),
+/// or `None` when `SOAK_MODEL` is unset.
+fn soak_model(dir: &Path) -> SoakResult<Option<PathBuf>> {
+    let Ok(src) = std::env::var("SOAK_MODEL") else {
+        return Ok(None);
+    };
+    let text = std::fs::read_to_string(&src).map_err(|e| format!("read SOAK_MODEL {src}: {e}"))?;
+    let value: Value =
+        serde_json::from_str(&text).map_err(|e| format!("parse SOAK_MODEL {src}: {e}"))?;
+    let model = value.get("model").cloned().unwrap_or(value);
+    let path = dir.join("soak-model.json");
+    let bare = serde_json::to_string(&model).map_err(|e| format!("encode model: {e}"))?;
+    std::fs::write(&path, bare).map_err(|e| format!("write {}: {e}", path.display()))?;
+    Ok(Some(path))
 }
 
 /// Live worker pids from a supervised daemon's `Stats` answer.
