@@ -63,4 +63,6 @@ pub use graph::PlacementGraph;
 pub use graph_batch::GraphBatch;
 pub use metrics::{ApeCollector, ApeSummary};
 pub use model::{AttentionRecord, ChainNet, ForwardTrace, PerfPrediction, Surrogate};
-pub use train::{GuardConfig, TrainError, TrainReport, Trainer};
+pub use train::{
+    CheckpointSink, GuardConfig, TrainError, TrainOptions, TrainReport, TrainStep, Trainer,
+};

@@ -67,6 +67,13 @@ pub trait Surrogate {
     fn predict_batch(&self, graphs: &[PlacementGraph]) -> Vec<Vec<PerfPrediction>> {
         graphs.iter().map(|g| self.predict(g)).collect()
     }
+
+    /// The ChainNet behind this surrogate, when it is one. The packed
+    /// training step ([`crate::train::TrainStep::Packed`]) needs its
+    /// batched forward; other surrogates train with the sequential step.
+    fn chainnet_mut(&mut self) -> Option<&mut ChainNet> {
+        None
+    }
 }
 
 /// A shared model is a surrogate too, so one loaded network can back
@@ -106,6 +113,10 @@ impl<S: Surrogate + Clone> Surrogate for Arc<S> {
 
     fn predict_batch(&self, graphs: &[PlacementGraph]) -> Vec<Vec<PerfPrediction>> {
         (**self).predict_batch(graphs)
+    }
+
+    fn chainnet_mut(&mut self) -> Option<&mut ChainNet> {
+        Arc::make_mut(self).chainnet_mut()
     }
 }
 
@@ -179,6 +190,27 @@ pub struct ChainNet {
     pub(crate) attention: Vec<AttentionHead>,
     pub(crate) mlp_tput: Mlp,
     pub(crate) mlp_latency: Mlp,
+}
+
+/// A `{"model": …, "report": …}` training-result file (`results/model_*.json`).
+#[derive(Deserialize)]
+struct ModelFile {
+    model: ChainNet,
+}
+
+/// Parse a model file: either a bare ChainNet (what `train --out`
+/// writes) or a training-result file wrapping one under `"model"`. The
+/// bare form is tried first, so it is parsed once.
+///
+/// # Errors
+///
+/// The bare form's parse error when the text is neither form.
+pub fn model_from_json(text: &str) -> serde_json::Result<ChainNet> {
+    serde_json::from_str::<ChainNet>(text).or_else(|bare| {
+        serde_json::from_str::<ModelFile>(text)
+            .map(|file| file.model)
+            .map_err(|_| bare)
+    })
 }
 
 impl ChainNet {
@@ -465,6 +497,10 @@ impl Surrogate for ChainNet {
 
     fn params_mut(&mut self) -> &mut ParamStore {
         &mut self.store
+    }
+
+    fn chainnet_mut(&mut self) -> Option<&mut ChainNet> {
+        Some(self)
     }
 
     fn loss_on_graph(
@@ -790,6 +826,18 @@ mod tests {
             "a write un-shares the handle"
         );
         assert_eq!(*shared, net, "the shared model is untouched");
+    }
+
+    #[test]
+    fn model_from_json_reads_bare_and_wrapped_files() {
+        let net = small_net();
+        let bare = serde_json::to_string(&net).unwrap();
+        assert_eq!(model_from_json(&bare).unwrap(), net);
+        let wrapped = format!("{{\"model\":{bare},\"report\":{{\"history\":[]}}}}");
+        assert_eq!(model_from_json(&wrapped).unwrap(), net);
+        // Neither form: the bare parse's error is reported.
+        let err = model_from_json("{\"report\":{}}").unwrap_err();
+        assert!(err.to_string().contains("name"), "{err}");
     }
 
     #[test]

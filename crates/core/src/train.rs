@@ -1,9 +1,17 @@
 //! Mini-batch training loop implementing Eq. 13: joint MSE over predicted
 //! throughput and latency across all chains of a batch, with Adam and the
 //! Table IV step-decay learning-rate schedule.
+//!
+//! Every run goes through one epoch driver. It owns the shuffle, the
+//! schedule, the `1/(2Q)` loss scale, cancellation, the divergence guard
+//! and its rollback, the checkpoint cadence, metrics, events and spans.
+//! Runs differ only in their [`TrainStep`], which turns one mini-batch
+//! into accumulated gradients: per-graph tape passes on the model's `f64`
+//! parameters, or one packed [`GraphBatch`] tape pass on a cast copy of a
+//! ChainNet's parameters.
 
 use crate::config::TrainConfig;
-use crate::data::LabeledGraph;
+use crate::data::{ChainTargets, LabeledGraph};
 use crate::graph::PlacementGraph;
 use crate::graph_batch::GraphBatch;
 use crate::metrics::ApeCollector;
@@ -11,6 +19,7 @@ use crate::model::{ChainNet, Surrogate};
 use chainnet_ckpt::{CkptError, CkptStore};
 use chainnet_neural::optim::{Adam, StepDecay};
 use chainnet_neural::params::ParamStore;
+pub use chainnet_neural::scalar::Dtype;
 use chainnet_neural::scalar::Scalar;
 use chainnet_neural::tape::Tape;
 use chainnet_obs::Obs;
@@ -19,9 +28,9 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-/// Schema version written by [`Trainer::train_checkpointed`]. Bump on
-/// any change to [`TrainCheckpoint`]'s layout.
-pub const TRAIN_CKPT_SCHEMA: u32 = 1;
+/// Schema version of [`TrainCheckpoint`]. Bump on any change to its
+/// layout.
+pub const TRAIN_CKPT_SCHEMA: u32 = 2;
 
 /// Bucket bounds for the `train.epoch_seconds` histogram (seconds).
 const EPOCH_SECONDS_BUCKETS: &[f64] = &[0.01, 0.1, 1.0, 10.0, 60.0, 600.0];
@@ -41,7 +50,7 @@ struct EpochEvent {
     wall_seconds: f64,
 }
 
-/// Divergence-guard settings for [`Trainer::train_guarded`].
+/// Divergence-guard settings (see [`TrainOptions::guard`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GuardConfig {
     /// Clip the concatenated gradient to this L2 norm before each
@@ -61,7 +70,7 @@ impl Default for GuardConfig {
     }
 }
 
-/// Typed failure of a guarded training run.
+/// Typed failure of a guarded or checkpointed training run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TrainError {
@@ -77,6 +86,9 @@ pub enum TrainError {
     EmptyTrainingSet,
     /// A checkpoint could not be written, read, or matched to this run.
     Checkpoint(CkptError),
+    /// [`TrainStep::Packed`] was asked of a surrogate that is not a
+    /// ChainNet.
+    PackedNeedsChainNet,
 }
 
 impl From<CkptError> for TrainError {
@@ -96,37 +108,106 @@ impl std::fmt::Display for TrainError {
             ),
             Self::EmptyTrainingSet => write!(f, "training set is empty"),
             Self::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
+            Self::PackedNeedsChainNet => {
+                write!(f, "the packed training step trains only ChainNet models")
+            }
         }
     }
 }
 
-/// Complete resumable state of a (guarded) training run, written after
-/// clean epochs and after rolled-back (tripped) epochs at the
-/// configured cadence. Restoring every field — including the shuffle
-/// permutation and the raw RNG state — is what makes a killed-and-
-/// resumed run bit-identical to an uninterrupted one.
+impl std::error::Error for TrainError {}
+
+/// How a training run turns one mini-batch into accumulated gradients.
+/// Everything else about the run is the same for every step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum TrainStep {
+    /// One tape pass per graph ([`Surrogate::loss_on_graph`]) on the
+    /// model's own `f64` parameters. Trains any surrogate; what
+    /// [`Trainer::train`] runs.
+    Sequential,
+    /// The whole mini-batch packed into one padded [`GraphBatch`] and run
+    /// as a single tape pass ([`ChainNet::batched_loss`]) on a copy of
+    /// the parameters cast to the given dtype. The copy is written back
+    /// to the model's `f64` store before each validation and when the run
+    /// ends. ChainNet only; what [`Trainer::train_batched`] runs.
+    Packed(Dtype),
+}
+
+impl std::fmt::Display for TrainStep {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Sequential => write!(f, "sequential"),
+            Self::Packed(dtype) => write!(f, "packed {dtype}"),
+        }
+    }
+}
+
+/// Where and how often a run checkpoints (see [`Trainer::train_with`]).
+#[derive(Debug, Clone, Copy)]
+pub struct CheckpointSink<'a> {
+    /// The store checkpoints are written to and resumed from.
+    pub store: &'a CkptStore,
+    /// Checkpoint after every `every` epochs and after the last one. Zero
+    /// is [`CkptError::InvalidCadence`].
+    pub every: usize,
+    /// Continue from the newest verified checkpoint in `store` instead of
+    /// starting at epoch 0.
+    pub resume: bool,
+}
+
+/// Everything about a [`Trainer::train_with`] run besides its data.
+#[derive(Debug, Clone, Copy)]
+pub struct TrainOptions<'a> {
+    /// How each mini-batch becomes gradients.
+    pub step: TrainStep,
+    /// The divergence guard, if any. Before every optimizer step the
+    /// batch loss and the gradients are checked for NaN/inf and the
+    /// gradients are clipped to `max_grad_norm`; after it the parameters
+    /// are checked. A failed check *trips* the guard: the epoch is
+    /// abandoned, the parameters roll back to those after the last clean
+    /// epoch (or the starting ones), the Adam moments restart, and the
+    /// `train.divergence_trips` counter goes up. Tripped epochs add no
+    /// [`EpochStats`], so the history may be shorter than
+    /// `config.epochs`.
+    pub guard: Option<GuardConfig>,
+    /// Crash-safe checkpoints, if any.
+    pub checkpoint: Option<CheckpointSink<'a>>,
+}
+
+/// Complete resumable state of a training run, written at the
+/// checkpoint cadence (after clean and after rolled-back epochs alike),
+/// after the last epoch, and on cancellation. Restoring every field —
+/// including the shuffle permutation and the raw RNG state — is what
+/// makes a killed-and-resumed run bit-identical to an uninterrupted one.
+///
+/// `Sc` is the dtype of the step that wrote it: the checkpoint holds
+/// that step's own parameters and Adam state, so an `f32` run resumes
+/// from its `f32` weights, not from an `f64` rounding of them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TrainCheckpoint {
+pub struct TrainCheckpoint<Sc: Scalar = f64> {
     /// Trainer configuration the run was started with (validated on
     /// resume).
     pub config: TrainConfig,
+    /// The step, and with it the dtype, that wrote the checkpoint
+    /// (validated on resume).
+    pub step: TrainStep,
     /// Guard configuration the run was started with (validated on
     /// resume).
-    pub guard: GuardConfig,
+    pub guard: Option<GuardConfig>,
     /// Number of training samples (validated on resume).
     pub num_samples: usize,
     /// First epoch still to run.
     pub epoch_next: usize,
-    /// Model parameters after the last completed epoch.
-    pub params: ParamStore,
+    /// The step's parameters after the last completed epoch. They are
+    /// also the guard's rollback target, which equals the live
+    /// parameters whenever a checkpoint is written.
+    pub params: ParamStore<Sc>,
     /// Adam moment estimates and step counter.
-    pub adam: Adam,
+    pub adam: Adam<Sc>,
     /// Raw xoshiro256++ state of the shuffle RNG.
     pub rng: [u64; 4],
     /// The sample permutation (shuffled cumulatively in place).
     pub order: Vec<usize>,
-    /// Divergence-guard rollback target (last known-good parameters).
-    pub last_good: ParamStore,
     /// Consecutive tripped epochs so far.
     pub consecutive_trips: usize,
     /// Total tripped epochs over the whole run.
@@ -134,8 +215,6 @@ pub struct TrainCheckpoint {
     /// Per-epoch history accumulated so far.
     pub history: TrainReport,
 }
-
-impl std::error::Error for TrainError {}
 
 /// Loss values recorded after one epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -174,6 +253,141 @@ impl TrainReport {
     /// The final validation loss.
     pub fn final_val_loss(&self) -> Option<f64> {
         self.history.last().and_then(|e| e.val_loss)
+    }
+}
+
+/// One way of turning a mini-batch into accumulated gradients: all the
+/// epoch driver does not own.
+trait Step {
+    /// The dtype the step trains in.
+    type Sc: Scalar;
+    /// The model validation runs on.
+    type Model: Surrogate;
+    /// Which step this is.
+    const KIND: TrainStep;
+    /// The parameters the optimizer updates.
+    fn store(&mut self) -> &mut ParamStore<Self::Sc>;
+    /// Run forward and backward over `batch` (indices into `train`),
+    /// accumulating into [`Step::store`] the gradients of the Eq.-13
+    /// loss times `scale`, and add the unscaled loss to `loss`.
+    fn accumulate(
+        &mut self,
+        train: &[LabeledGraph],
+        batch: &[usize],
+        scale: f64,
+        loss: &mut f64,
+        obs: &Obs,
+    );
+    /// The model, with [`Step::store`] written into its `f64` parameters.
+    fn synced(&mut self) -> &Self::Model;
+}
+
+/// [`TrainStep::Sequential`]: one pooled tape reused for every graph of
+/// every epoch (`Tape::reset` recycles its buffers, so steady-state steps
+/// allocate nothing on the tape).
+struct SequentialStep<'m, S> {
+    model: &'m mut S,
+    tape: Tape,
+}
+
+impl<'m, S: Surrogate> SequentialStep<'m, S> {
+    fn new(model: &'m mut S, obs: &Obs) -> Self {
+        let mut tape = Tape::new();
+        tape.set_tracer(obs.tracer.clone());
+        Self { model, tape }
+    }
+}
+
+impl<S: Surrogate> Step for SequentialStep<'_, S> {
+    type Sc = f64;
+    type Model = S;
+
+    const KIND: TrainStep = TrainStep::Sequential;
+
+    fn store(&mut self) -> &mut ParamStore {
+        self.model.params_mut()
+    }
+
+    fn accumulate(
+        &mut self,
+        train: &[LabeledGraph],
+        batch: &[usize],
+        scale: f64,
+        loss: &mut f64,
+        obs: &Obs,
+    ) {
+        for &i in batch {
+            let sample = &train[i];
+            self.tape.reset();
+            let fwd_span = obs.tracer.span("neural.forward");
+            let raw = self
+                .model
+                .loss_on_graph(&mut self.tape, &sample.graph, &sample.targets);
+            fwd_span.close();
+            let scaled = self.tape.affine(raw, scale, 0.0);
+            self.tape.backward(scaled);
+            self.tape.accumulate_param_grads(self.model.params_mut());
+            *loss += self.tape.value(raw).item();
+        }
+    }
+
+    fn synced(&mut self) -> &S {
+        self.model
+    }
+}
+
+/// [`TrainStep::Packed`] in dtype `Sc`: the model's weights are cast into
+/// `store` once, trained there, and cast back by [`Step::synced`].
+struct PackedStep<'m, Sc: Scalar> {
+    net: &'m mut ChainNet,
+    store: ParamStore<Sc>,
+    tape: Tape<Sc>,
+}
+
+impl<'m, Sc: Scalar> PackedStep<'m, Sc> {
+    fn new(net: &'m mut ChainNet, obs: &Obs) -> Self {
+        let store = net.params().cast();
+        let mut tape = Tape::new();
+        tape.set_tracer(obs.tracer.clone());
+        Self { net, store, tape }
+    }
+}
+
+impl<Sc: Scalar> Step for PackedStep<'_, Sc> {
+    type Sc = Sc;
+    type Model = ChainNet;
+
+    const KIND: TrainStep = TrainStep::Packed(Sc::DTYPE);
+
+    fn store(&mut self) -> &mut ParamStore<Sc> {
+        &mut self.store
+    }
+
+    fn accumulate(
+        &mut self,
+        train: &[LabeledGraph],
+        batch: &[usize],
+        scale: f64,
+        loss: &mut f64,
+        obs: &Obs,
+    ) {
+        let graphs: Vec<&PlacementGraph> = batch.iter().map(|&i| &train[i].graph).collect();
+        let targets: Vec<&[ChainTargets]> =
+            batch.iter().map(|&i| train[i].targets.as_slice()).collect();
+        let packed = GraphBatch::pack(&graphs, &targets, self.net.config().target_mode);
+        self.tape.reset();
+        let fwd_span = obs.tracer.span("neural.forward");
+        let raw = self.net.batched_loss(&mut self.tape, &self.store, &packed);
+        fwd_span.close();
+        let scaled = self.tape.affine(raw, Sc::from_f64(scale), Sc::ZERO);
+        self.tape.backward(scaled);
+        self.tape.accumulate_param_grads(&mut self.store);
+        *loss += self.tape.value(raw).item().to_f64();
+    }
+
+    fn synced(&mut self) -> &ChainNet {
+        self.net.params_mut().assign_values_cast(&self.store);
+        self.net
     }
 }
 
@@ -231,6 +445,10 @@ impl Trainer {
 
     /// Train `model` on `train`, optionally tracking a validation loss
     /// each epoch (used by the ablation study's Fig. 13 curves).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `train` is empty.
     pub fn train<S: Surrogate>(
         &self,
         model: &mut S,
@@ -240,17 +458,23 @@ impl Trainer {
         self.train_observed(model, train, val, &Obs::disabled())
     }
 
-    /// Like [`Trainer::train`], additionally recording metrics and
-    /// per-epoch events into `obs` when it is enabled:
+    /// Like [`Trainer::train`], additionally recording metrics, per-epoch
+    /// events and spans into `obs` when it is enabled:
     ///
     /// * `train.epoch_seconds` histogram (RAII-timed wall clock per
     ///   epoch) and `train.samples_per_sec` gauge;
     /// * `train.loss` / `train.val_loss` gauges tracking the latest
-    ///   epoch;
+    ///   epoch, and the `train.batch_size` gauge;
     /// * `train.grad_norm` histogram, observed after each mini-batch;
-    /// * `train.epochs` and `train.batches` counters.
+    /// * `train.epochs` and `train.batches` counters;
+    /// * `train.epoch`, `train.step`, `neural.forward` and
+    ///   `neural.backward` spans.
     ///
     /// With a disabled `obs` this is exactly [`Trainer::train`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `train` is empty.
     pub fn train_observed<S: Surrogate>(
         &self,
         model: &mut S,
@@ -258,128 +482,24 @@ impl Trainer {
         val: Option<&[LabeledGraph]>,
         obs: &Obs,
     ) -> TrainReport {
-        assert!(!train.is_empty(), "training set is empty");
-        let grad_norm = obs
-            .is_enabled()
-            .then(|| obs.registry.histogram("train.grad_norm", GRAD_NORM_BUCKETS));
-        let cfg = self.config;
-        let mut adam = Adam::new(cfg.learning_rate);
-        let schedule = StepDecay {
-            lr0: cfg.learning_rate,
-            factor: cfg.lr_decay,
-            period: cfg.lr_decay_period,
-        };
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        let mut report = TrainReport::default();
-        // One pooled tape reused across every sample of every epoch:
-        // Tape::reset recycles forward/gradient buffers, so steady-state
-        // training steps perform no tape allocations.
-        let mut tape = Tape::new();
-        tape.set_tracer(obs.tracer.clone());
-
-        for epoch in 0..cfg.epochs {
-            // Cooperative cancellation at the epoch boundary, mirroring
-            // the guarded/checkpointed path: the history so far is
-            // complete and `interrupted` records the early exit.
-            if obs.cancel.is_set() {
-                report.interrupted = true;
-                break;
-            }
-            let _epoch_span = obs.tracer.span("train.epoch");
-            let epoch_timer = obs.is_enabled().then(|| {
-                obs.registry
-                    .histogram("train.epoch_seconds", EPOCH_SECONDS_BUCKETS)
-                    .start_timer()
-            });
-            let lr = schedule.lr_at(epoch as u64);
-            adam.set_lr(lr);
-            order.shuffle(&mut rng);
-            let mut epoch_loss = 0.0;
-            let mut epoch_chains = 0usize;
-            let mut epoch_batches = 0u64;
-
-            for batch in order.chunks(cfg.batch_size.max(1)) {
-                let _step_span = obs.tracer.span("train.step");
-                // Q = number of chains in this batch (Eq. 13 denominator).
-                let q: usize = batch.iter().map(|&i| train[i].graph.num_chains()).sum();
-                let scale = 1.0 / (2.0 * q.max(1) as f64);
-                for &i in batch {
-                    let sample = &train[i];
-                    tape.reset();
-                    let fwd_span = obs.tracer.span("neural.forward");
-                    let raw = model.loss_on_graph(&mut tape, &sample.graph, &sample.targets);
-                    fwd_span.close();
-                    let scaled = tape.affine(raw, scale, 0.0);
-                    tape.backward(scaled);
-                    tape.accumulate_param_grads(model.params_mut());
-                    epoch_loss += tape.value(raw).item();
-                }
-                epoch_chains += q;
-                epoch_batches += 1;
-                if let Some(h) = &grad_norm {
-                    h.observe(model.params_mut().grad_norm());
-                }
-                adam.step(model.params_mut());
-            }
-
-            let train_loss = epoch_loss / (2.0 * epoch_chains.max(1) as f64);
-            let val_loss = val.map(|v| self.evaluate_loss(model, v));
-            if let Some(timer) = epoch_timer {
-                let wall = timer.elapsed_secs();
-                timer.stop();
-                let reg = &obs.registry;
-                reg.counter("train.epochs").inc();
-                reg.counter("train.batches").add(epoch_batches);
-                reg.gauge("train.samples_per_sec")
-                    .set(train.len() as f64 / wall.max(1e-9));
-                reg.gauge("train.loss").set(train_loss);
-                if let Some(v) = val_loss {
-                    reg.gauge("train.val_loss").set(v);
-                }
-                obs.events.emit(
-                    "train",
-                    &EpochEvent {
-                        kind: "epoch",
-                        epoch,
-                        train_loss,
-                        val_loss,
-                        lr,
-                        wall_seconds: wall,
-                    },
-                );
-            }
-            report.history.push(EpochStats {
-                epoch,
-                train_loss,
-                val_loss,
-                lr,
-            });
-        }
-        report
+        self.unguarded(SequentialStep::new(model, obs), train, val, obs)
     }
 
-    /// Batched counterpart of [`Trainer::train_observed`] for
-    /// [`ChainNet`], generic over the training dtype `Sc` (`f32` for
-    /// SIMD-width throughput, `f64` to match the sequential numerics):
-    /// every mini-batch is packed into one padded [`GraphBatch`] and
-    /// runs as a *single* tape forward/backward
-    /// ([`ChainNet::batched_loss`]), so a batch of `B` graphs costs a
-    /// few `(B, ·)` matmuls instead of `B` per-graph tape passes.
+    /// [`Trainer::train_observed`] with the packed step
+    /// ([`TrainStep::Packed`]) in dtype `Sc` (`f32` for SIMD-width
+    /// throughput, `f64` to match the sequential numerics): a batch of
+    /// `B` graphs costs a few `(B, ·)` matmuls instead of `B` per-graph
+    /// tape passes.
     ///
     /// The schedule, seed, shuffle order, chunking, and `1/(2Q)` loss
-    /// scale are identical to `train_observed`; the per-epoch losses
-    /// differ only by the documented latency-readout rounding (and by
-    /// single-precision rounding when `Sc = f32`). The model's `f64`
-    /// weights are cast into `Sc` once up front; they are written back
-    /// after every epoch when a validation set is supplied (so
-    /// [`Trainer::evaluate_loss`] sees current weights) and always after
-    /// the final epoch.
+    /// scale are those of `train_observed`; the per-epoch losses differ
+    /// only by the documented latency-readout rounding (and by
+    /// single-precision rounding when `Sc = f32`). Metrics and spans are
+    /// the same too.
     ///
-    /// Metrics mirror `train_observed` (`train.epoch_seconds`,
-    /// `train.samples_per_sec`, `train.loss`, `train.val_loss`,
-    /// `train.grad_norm`, `train.epochs`, `train.batches`), plus the
-    /// `train.batch_size` gauge recording the packed batch width.
+    /// # Panics
+    ///
+    /// Panics if `train` is empty.
     pub fn train_batched<Sc: Scalar>(
         &self,
         model: &mut ChainNet,
@@ -387,30 +507,217 @@ impl Trainer {
         val: Option<&[LabeledGraph]>,
         obs: &Obs,
     ) -> TrainReport {
-        assert!(!train.is_empty(), "training set is empty");
+        self.unguarded(PackedStep::<Sc>::new(model, obs), train, val, obs)
+    }
+
+    /// Train with any step, optionally under a divergence guard
+    /// ([`TrainOptions::guard`]) and with crash-safe checkpoints
+    /// ([`TrainOptions::checkpoint`]).
+    ///
+    /// Every `every` epochs (and always after the final epoch) the
+    /// complete resumable state is written durably through the store as a
+    /// [`TrainCheckpoint`]. Tripped (rolled-back) epochs also checkpoint
+    /// at the cadence, so the divergence fallback is the on-disk
+    /// last-good as well. With `resume` the run restarts from the most
+    /// recent verified checkpoint instead of epoch 0 and — because the
+    /// workspace RNG is deterministic — produces **bit-identical** final
+    /// parameters and history to an uninterrupted run.
+    ///
+    /// Without a guard or checkpoints this is [`Trainer::train_observed`]
+    /// or [`Trainer::train_batched`]; a guard that never trips and never
+    /// clips, and checkpoints, leave the trajectory unchanged.
+    ///
+    /// # Errors
+    ///
+    /// * [`TrainError::EmptyTrainingSet`];
+    /// * [`TrainError::Diverged`] after `guard.max_trips` consecutive
+    ///   tripped epochs (the model is left on the last good parameters);
+    /// * [`TrainError::PackedNeedsChainNet`] for the packed step on
+    ///   another surrogate;
+    /// * [`TrainError::Checkpoint`] on cadence 0, save/load failures, a
+    ///   missing checkpoint under `resume`, or a checkpoint recorded for
+    ///   a different step, dtype, config, guard or dataset
+    ///   ([`CkptError::ResumeMismatch`]).
+    pub fn train_with<S: Surrogate>(
+        &self,
+        model: &mut S,
+        train: &[LabeledGraph],
+        val: Option<&[LabeledGraph]>,
+        options: &TrainOptions<'_>,
+        obs: &Obs,
+    ) -> Result<TrainReport, TrainError> {
+        let (guard, ckpt) = (options.guard, options.checkpoint);
+        match options.step {
+            TrainStep::Sequential => self.drive(
+                SequentialStep::new(model, obs),
+                train,
+                val,
+                guard,
+                ckpt,
+                obs,
+            ),
+            TrainStep::Packed(dtype) => {
+                let net = model
+                    .chainnet_mut()
+                    .ok_or(TrainError::PackedNeedsChainNet)?;
+                match dtype {
+                    Dtype::F32 => self.drive(
+                        PackedStep::<f32>::new(net, obs),
+                        train,
+                        val,
+                        guard,
+                        ckpt,
+                        obs,
+                    ),
+                    Dtype::F64 => self.drive(
+                        PackedStep::<f64>::new(net, obs),
+                        train,
+                        val,
+                        guard,
+                        ckpt,
+                        obs,
+                    ),
+                }
+            }
+        }
+    }
+
+    /// A run without guard or checkpoints, which can only fail on an
+    /// empty training set.
+    fn unguarded<St: Step>(
+        &self,
+        step: St,
+        train: &[LabeledGraph],
+        val: Option<&[LabeledGraph]>,
+        obs: &Obs,
+    ) -> TrainReport {
+        match self.drive(step, train, val, None, None, obs) {
+            Ok(report) => report,
+            // lint:allow(panic): the documented panic of `train` and `train_batched` on an empty training set
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Run the epochs, then write the step's parameters back to the model
+    /// however the run ended.
+    fn drive<St: Step>(
+        &self,
+        mut step: St,
+        train: &[LabeledGraph],
+        val: Option<&[LabeledGraph]>,
+        guard: Option<GuardConfig>,
+        ckpt: Option<CheckpointSink<'_>>,
+        obs: &Obs,
+    ) -> Result<TrainReport, TrainError> {
+        let result = self.run_epochs(&mut step, train, val, guard, ckpt, obs);
+        step.synced();
+        result
+    }
+
+    /// The epoch loop every training run goes through.
+    fn run_epochs<St: Step>(
+        &self,
+        step: &mut St,
+        train: &[LabeledGraph],
+        val: Option<&[LabeledGraph]>,
+        guard: Option<GuardConfig>,
+        ckpt: Option<CheckpointSink<'_>>,
+        obs: &Obs,
+    ) -> Result<TrainReport, TrainError> {
+        if train.is_empty() {
+            return Err(TrainError::EmptyTrainingSet);
+        }
+        // An infinite clip threshold and a non-positive one both disable
+        // clipping, but the JSON checkpoint payload cannot represent
+        // non-finite floats; normalize so the guard round-trips on resume.
+        let guard = guard.map(|g| GuardConfig {
+            max_grad_norm: if g.max_grad_norm.is_finite() {
+                g.max_grad_norm
+            } else {
+                0.0
+            },
+            ..g
+        });
         let grad_norm = obs
             .is_enabled()
             .then(|| obs.registry.histogram("train.grad_norm", GRAD_NORM_BUCKETS));
         let cfg = self.config;
-        let mut store: ParamStore<Sc> = model.params().cast();
-        let mut adam: Adam<Sc> = Adam::new(cfg.learning_rate);
         let schedule = StepDecay {
             lr0: cfg.learning_rate,
             factor: cfg.lr_decay,
             period: cfg.lr_decay_period,
         };
+        let mut adam: Adam<St::Sc> = Adam::new(cfg.learning_rate);
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let mut order: Vec<usize> = (0..train.len()).collect();
         let mut report = TrainReport::default();
-        let mut tape: Tape<Sc> = Tape::new();
-        tape.set_tracer(obs.tracer.clone());
-        let target_mode = model.config().target_mode;
+        let mut consecutive_trips = 0usize;
+        let mut total_trips = 0u64;
+        let mut start = 0usize;
 
-        for epoch in 0..cfg.epochs {
-            if obs.cancel.is_set() {
+        if let Some(sink) = ckpt {
+            if sink.every == 0 {
+                return Err(CkptError::InvalidCadence.into());
+            }
+            if sink.resume {
+                let (_seq, ck) = sink
+                    .store
+                    .resume_latest_state::<TrainCheckpoint<St::Sc>>()?;
+                self.validate_checkpoint(&ck, St::KIND, guard, train.len())?;
+                *step.store() = ck.params;
+                step.store().zero_grads();
+                adam = ck.adam;
+                rng = SmallRng::from_state(ck.rng);
+                order = ck.order;
+                consecutive_trips = ck.consecutive_trips;
+                total_trips = ck.total_trips;
+                report = ck.history;
+                start = ck.epoch_next;
+            }
+        }
+
+        // The guard's rollback target: the parameters after the last
+        // clean epoch (at first, the starting ones).
+        let mut last_good = guard.map(|_| step.store().clone());
+
+        // One pass per epoch, plus a last one at `cfg.epochs` that only
+        // checkpoints. The state at the top of epoch `e` is the state
+        // after epoch `e - 1`, so every checkpoint — at the cadence, after
+        // the final epoch, or on cancellation — is written here under
+        // sequence number `e`, and a later resume replays the exact
+        // trajectory of an uninterrupted run.
+        for epoch in start..=cfg.epochs {
+            let cancelled = epoch < cfg.epochs && obs.cancel.is_set();
+            if let Some(sink) = ckpt {
+                let due = epoch > start && (epoch % sink.every == 0 || epoch == cfg.epochs);
+                if due || (cancelled && epoch > 0) {
+                    let state = TrainCheckpoint {
+                        config: cfg,
+                        step: St::KIND,
+                        guard,
+                        num_samples: train.len(),
+                        epoch_next: epoch,
+                        params: step.store().clone(),
+                        adam: adam.clone(),
+                        rng: rng.state(),
+                        order: order.clone(),
+                        consecutive_trips,
+                        total_trips,
+                        history: report.clone(),
+                    };
+                    sink.store.save_state(epoch as u64, &state)?;
+                }
+            }
+            if cancelled {
+                // The checkpointed history stays clean: `interrupted`
+                // describes this process's exit, not the state on disk.
                 report.interrupted = true;
                 break;
             }
+            if epoch == cfg.epochs {
+                break;
+            }
+
             let _epoch_span = obs.tracer.span("train.epoch");
             let epoch_timer = obs.is_enabled().then(|| {
                 obs.registry
@@ -423,36 +730,63 @@ impl Trainer {
             let mut epoch_loss = 0.0;
             let mut epoch_chains = 0usize;
             let mut epoch_batches = 0u64;
+            let mut tripped = false;
 
-            for chunk in order.chunks(cfg.batch_size.max(1)) {
+            for batch in order.chunks(cfg.batch_size.max(1)) {
                 let _step_span = obs.tracer.span("train.step");
-                let graphs: Vec<&PlacementGraph> = chunk.iter().map(|&i| &train[i].graph).collect();
-                let targets: Vec<&[crate::data::ChainTargets]> =
-                    chunk.iter().map(|&i| train[i].targets.as_slice()).collect();
-                let batch = GraphBatch::pack(&graphs, &targets, target_mode);
-                // Q = number of real chains in this batch (Eq. 13).
-                let scale = 1.0 / (2.0 * batch.total_chains().max(1) as f64);
-                tape.reset();
-                let fwd_span = obs.tracer.span("neural.forward");
-                let raw = model.batched_loss(&mut tape, &store, &batch);
-                fwd_span.close();
-                let scaled = tape.affine(raw, Sc::from_f64(scale), Sc::ZERO);
-                tape.backward(scaled);
-                tape.accumulate_param_grads(&mut store);
-                epoch_loss += tape.value(raw).item().to_f64();
-                epoch_chains += batch.total_chains();
+                // Q = number of chains in this batch (Eq. 13 denominator).
+                let q: usize = batch.iter().map(|&i| train[i].graph.num_chains()).sum();
+                let scale = 1.0 / (2.0 * q.max(1) as f64);
+                step.accumulate(train, batch, scale, &mut epoch_loss, obs);
+                epoch_chains += q;
                 epoch_batches += 1;
-                if let Some(h) = &grad_norm {
+                let store = step.store();
+                if let Some(g) = guard {
+                    let norm = store.clip_grad_norm(g.max_grad_norm);
+                    if !(epoch_loss.is_finite() && norm.is_finite()) {
+                        tripped = true;
+                        break;
+                    }
+                    if let Some(h) = &grad_norm {
+                        h.observe(norm);
+                    }
+                } else if let Some(h) = &grad_norm {
                     h.observe(store.grad_norm());
                 }
-                adam.step(&mut store);
+                adam.step(store);
+                if guard.is_some() && !store.values_all_finite() {
+                    tripped = true;
+                    break;
+                }
             }
 
+            if let (true, Some(g), Some(good)) = (tripped, guard, &last_good) {
+                consecutive_trips += 1;
+                total_trips += 1;
+                if obs.is_enabled() {
+                    obs.registry.counter("train.divergence_trips").inc();
+                }
+                *step.store() = good.clone();
+                step.store().zero_grads();
+                // Adam's moment estimates were fed non-finite or oversized
+                // gradients; restart them alongside the weights.
+                adam = Adam::new(cfg.learning_rate);
+                adam.set_lr(lr);
+                if consecutive_trips >= g.max_trips.max(1) {
+                    return Err(TrainError::Diverged {
+                        epoch,
+                        trips: total_trips,
+                    });
+                }
+                continue;
+            }
+
+            consecutive_trips = 0;
+            if let Some(good) = &mut last_good {
+                good.clone_from(step.store());
+            }
             let train_loss = epoch_loss / (2.0 * epoch_chains.max(1) as f64);
-            let val_loss = val.map(|v| {
-                model.params_mut().assign_values_cast(&store);
-                self.evaluate_loss(model, v)
-            });
+            let val_loss = val.map(|v| self.evaluate_loss(step.synced(), v));
             if let Some(timer) = epoch_timer {
                 let wall = timer.elapsed_secs();
                 timer.stop();
@@ -486,392 +820,33 @@ impl Trainer {
                 lr,
             });
         }
-        model.params_mut().assign_values_cast(&store);
-        report
-    }
-
-    /// Like [`Trainer::train`], but with a divergence guard: non-finite
-    /// losses, gradients, or parameters roll the model back to the last
-    /// known-good snapshot instead of silently corrupting it.
-    ///
-    /// # Errors
-    ///
-    /// [`TrainError::Diverged`] after `guard.max_trips` consecutive
-    /// tripped epochs (the model is left on the last good parameters),
-    /// or [`TrainError::EmptyTrainingSet`].
-    pub fn train_guarded<S: Surrogate>(
-        &self,
-        model: &mut S,
-        train: &[LabeledGraph],
-        val: Option<&[LabeledGraph]>,
-        guard: &GuardConfig,
-    ) -> Result<TrainReport, TrainError> {
-        self.train_guarded_observed(model, train, val, guard, &Obs::disabled())
-    }
-
-    /// Observed variant of [`Trainer::train_guarded`].
-    ///
-    /// Each epoch runs the usual mini-batch loop, but before every
-    /// optimizer step the batch loss, the accumulated gradients, and —
-    /// after the step — the parameters themselves are checked for
-    /// NaN/inf. Gradients are clipped to `guard.max_grad_norm` (L2).
-    /// A failed check *trips* the guard: the epoch is abandoned, the
-    /// parameters are rolled back to the snapshot taken after the last
-    /// clean epoch (or the initial weights), the Adam moments are reset,
-    /// and the `train.divergence_trips` counter is incremented. After
-    /// `guard.max_trips` consecutive trips the run aborts with
-    /// [`TrainError::Diverged`]; a clean epoch resets the streak.
-    ///
-    /// Tripped epochs contribute no [`EpochStats`], so the report's
-    /// history may be shorter than `config.epochs`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Trainer::train_guarded`].
-    pub fn train_guarded_observed<S: Surrogate>(
-        &self,
-        model: &mut S,
-        train: &[LabeledGraph],
-        val: Option<&[LabeledGraph]>,
-        guard: &GuardConfig,
-        obs: &Obs,
-    ) -> Result<TrainReport, TrainError> {
-        self.run_guarded(model, train, val, guard, None, obs)
-    }
-
-    /// [`Trainer::train_checkpointed_observed`] without instrumentation.
-    ///
-    /// # Errors
-    ///
-    /// See [`Trainer::train_checkpointed_observed`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn train_checkpointed<S: Surrogate>(
-        &self,
-        model: &mut S,
-        train: &[LabeledGraph],
-        val: Option<&[LabeledGraph]>,
-        guard: &GuardConfig,
-        store: &CkptStore,
-        every: usize,
-        resume: bool,
-    ) -> Result<TrainReport, TrainError> {
-        self.train_checkpointed_observed(
-            model,
-            train,
-            val,
-            guard,
-            store,
-            every,
-            resume,
-            &Obs::disabled(),
-        )
-    }
-
-    /// Guarded training with crash-safe on-disk checkpoints.
-    ///
-    /// Every `every` epochs (and always after the final epoch) the
-    /// complete resumable state — parameters, Adam moments, RNG state,
-    /// shuffle permutation, guard counters, history — is written
-    /// durably through `store` as a [`TrainCheckpoint`]. Tripped
-    /// (rolled-back) epochs also checkpoint at the cadence, so the
-    /// divergence fallback is the on-disk last-good as well.
-    ///
-    /// With `resume` the run restarts from the most recent verified
-    /// checkpoint instead of epoch 0 and — because the workspace RNG
-    /// is deterministic — produces **bit-identical** final parameters
-    /// and history to an uninterrupted run.
-    ///
-    /// # Errors
-    ///
-    /// [`TrainError::Checkpoint`] on cadence 0, save/load failures, a
-    /// missing checkpoint under `resume`, or a checkpoint recorded for
-    /// a different config/dataset; otherwise as
-    /// [`Trainer::train_guarded`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn train_checkpointed_observed<S: Surrogate>(
-        &self,
-        model: &mut S,
-        train: &[LabeledGraph],
-        val: Option<&[LabeledGraph]>,
-        guard: &GuardConfig,
-        store: &CkptStore,
-        every: usize,
-        resume: bool,
-        obs: &Obs,
-    ) -> Result<TrainReport, TrainError> {
-        self.run_guarded(model, train, val, guard, Some((store, every, resume)), obs)
-    }
-
-    fn run_guarded<S: Surrogate>(
-        &self,
-        model: &mut S,
-        train: &[LabeledGraph],
-        val: Option<&[LabeledGraph]>,
-        guard: &GuardConfig,
-        ckpt: Option<(&CkptStore, usize, bool)>,
-        obs: &Obs,
-    ) -> Result<TrainReport, TrainError> {
-        if train.is_empty() {
-            return Err(TrainError::EmptyTrainingSet);
-        }
-        // An infinite clip threshold and a non-positive one both disable
-        // clipping, but the JSON checkpoint payload cannot represent
-        // non-finite floats; normalize so the guard round-trips on resume.
-        let normalized;
-        let guard = if ckpt.is_some() && !guard.max_grad_norm.is_finite() {
-            normalized = GuardConfig {
-                max_grad_norm: 0.0,
-                ..*guard
-            };
-            &normalized
-        } else {
-            guard
-        };
-        let grad_norm = obs
-            .is_enabled()
-            .then(|| obs.registry.histogram("train.grad_norm", GRAD_NORM_BUCKETS));
-        let cfg = self.config;
-        let mut adam = Adam::new(cfg.learning_rate);
-        let schedule = StepDecay {
-            lr0: cfg.learning_rate,
-            factor: cfg.lr_decay,
-            period: cfg.lr_decay_period,
-        };
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        let mut report = TrainReport::default();
-
-        // Last known-good snapshot; the initial weights qualify.
-        let mut last_good = model.params().clone();
-        let mut consecutive_trips = 0usize;
-        let mut total_trips = 0u64;
-        let mut start_epoch = 0usize;
-
-        if let Some((store, every, resume)) = ckpt {
-            if every == 0 {
-                return Err(TrainError::Checkpoint(CkptError::InvalidCadence));
-            }
-            if resume {
-                let (_seq, ck) = store.resume_latest_state::<TrainCheckpoint>()?;
-                self.validate_checkpoint(&ck, guard, train.len())?;
-                *model.params_mut() = ck.params;
-                model.params_mut().zero_grads();
-                adam = ck.adam;
-                rng = SmallRng::from_state(ck.rng);
-                order = ck.order;
-                last_good = ck.last_good;
-                consecutive_trips = ck.consecutive_trips;
-                total_trips = ck.total_trips;
-                report = ck.history;
-                start_epoch = ck.epoch_next;
-            }
-        }
-
-        // One pooled tape reused across every sample of every epoch (see
-        // train_observed).
-        let mut tape = Tape::new();
-
-        for epoch in start_epoch..cfg.epochs {
-            // Cooperative cancellation: wind down at the epoch boundary.
-            // The state at the top of epoch `e` (pre-shuffle RNG, order)
-            // is bit-identical to the end-of-epoch `e-1` state, so the
-            // flushed checkpoint reuses sequence number `e` and a later
-            // `--resume` replays the exact trajectory the uninterrupted
-            // run would have taken.
-            if obs.cancel.is_set() {
-                // The checkpointed history stays clean: `interrupted`
-                // describes this process's exit, not the state on disk.
-                if let Some((store, _, _)) = ckpt {
-                    if epoch > 0 {
-                        let state = TrainCheckpoint {
-                            config: cfg,
-                            guard: *guard,
-                            num_samples: train.len(),
-                            epoch_next: epoch,
-                            params: model.params().clone(),
-                            adam: adam.clone(),
-                            rng: rng.state(),
-                            order: order.clone(),
-                            last_good: last_good.clone(),
-                            consecutive_trips,
-                            total_trips,
-                            history: report.clone(),
-                        };
-                        store.save_state(epoch as u64, &state)?;
-                    }
-                }
-                report.interrupted = true;
-                return Ok(report);
-            }
-            let epoch_timer = obs.is_enabled().then(|| {
-                obs.registry
-                    .histogram("train.epoch_seconds", EPOCH_SECONDS_BUCKETS)
-                    .start_timer()
-            });
-            let lr = schedule.lr_at(epoch as u64);
-            adam.set_lr(lr);
-            order.shuffle(&mut rng);
-            let mut epoch_loss = 0.0;
-            let mut epoch_chains = 0usize;
-            let mut epoch_batches = 0u64;
-            let mut tripped = false;
-
-            'batches: for batch in order.chunks(cfg.batch_size.max(1)) {
-                let q: usize = batch.iter().map(|&i| train[i].graph.num_chains()).sum();
-                let scale = 1.0 / (2.0 * q.max(1) as f64);
-                for &i in batch {
-                    let sample = &train[i];
-                    tape.reset();
-                    let raw = model.loss_on_graph(&mut tape, &sample.graph, &sample.targets);
-                    let raw_value = tape.value(raw).item();
-                    if !raw_value.is_finite() {
-                        tripped = true;
-                        break 'batches;
-                    }
-                    let scaled = tape.affine(raw, scale, 0.0);
-                    tape.backward(scaled);
-                    tape.accumulate_param_grads(model.params_mut());
-                    epoch_loss += raw_value;
-                }
-                epoch_chains += q;
-                epoch_batches += 1;
-                let pre_clip = model.params_mut().clip_grad_norm(guard.max_grad_norm);
-                if !pre_clip.is_finite() {
-                    tripped = true;
-                    break 'batches;
-                }
-                if let Some(h) = &grad_norm {
-                    h.observe(pre_clip);
-                }
-                adam.step(model.params_mut());
-                if !model.params_mut().values_all_finite() {
-                    tripped = true;
-                    break 'batches;
-                }
-            }
-
-            if tripped {
-                consecutive_trips += 1;
-                total_trips += 1;
-                if obs.is_enabled() {
-                    obs.registry.counter("train.divergence_trips").inc();
-                }
-                *model.params_mut() = last_good.clone();
-                model.params_mut().zero_grads();
-                // Adam's moment estimates were fed non-finite or oversized
-                // gradients; restart them alongside the weights.
-                adam = Adam::new(cfg.learning_rate);
-                adam.set_lr(lr);
-                if consecutive_trips >= guard.max_trips.max(1) {
-                    return Err(TrainError::Diverged {
-                        epoch,
-                        trips: total_trips,
-                    });
-                }
-                // Checkpoint the rolled-back state at the cadence so the
-                // on-disk last-good tracks the in-memory one.
-                if let Some((store, every, _)) = ckpt {
-                    if (epoch + 1) % every == 0 || epoch + 1 == cfg.epochs {
-                        let state = TrainCheckpoint {
-                            config: cfg,
-                            guard: *guard,
-                            num_samples: train.len(),
-                            epoch_next: epoch + 1,
-                            params: model.params().clone(),
-                            adam: adam.clone(),
-                            rng: rng.state(),
-                            order: order.clone(),
-                            last_good: last_good.clone(),
-                            consecutive_trips,
-                            total_trips,
-                            history: report.clone(),
-                        };
-                        store.save_state((epoch + 1) as u64, &state)?;
-                    }
-                }
-                continue;
-            }
-
-            consecutive_trips = 0;
-            last_good = model.params().clone();
-            let train_loss = epoch_loss / (2.0 * epoch_chains.max(1) as f64);
-            let val_loss = val.map(|v| self.evaluate_loss(model, v));
-            if let Some(timer) = epoch_timer {
-                let wall = timer.elapsed_secs();
-                timer.stop();
-                let reg = &obs.registry;
-                reg.counter("train.epochs").inc();
-                reg.counter("train.batches").add(epoch_batches);
-                reg.gauge("train.samples_per_sec")
-                    .set(train.len() as f64 / wall.max(1e-9));
-                reg.gauge("train.loss").set(train_loss);
-                if let Some(v) = val_loss {
-                    reg.gauge("train.val_loss").set(v);
-                }
-                obs.events.emit(
-                    "train",
-                    &EpochEvent {
-                        kind: "epoch",
-                        epoch,
-                        train_loss,
-                        val_loss,
-                        lr,
-                        wall_seconds: wall,
-                    },
-                );
-            }
-            report.history.push(EpochStats {
-                epoch,
-                train_loss,
-                val_loss,
-                lr,
-            });
-            if let Some((store, every, _)) = ckpt {
-                if (epoch + 1) % every == 0 || epoch + 1 == cfg.epochs {
-                    let state = TrainCheckpoint {
-                        config: cfg,
-                        guard: *guard,
-                        num_samples: train.len(),
-                        epoch_next: epoch + 1,
-                        params: model.params().clone(),
-                        adam: adam.clone(),
-                        rng: rng.state(),
-                        order: order.clone(),
-                        last_good: last_good.clone(),
-                        consecutive_trips,
-                        total_trips,
-                        history: report.clone(),
-                    };
-                    store.save_state((epoch + 1) as u64, &state)?;
-                }
-            }
-        }
         Ok(report)
     }
 
-    fn validate_checkpoint(
+    fn validate_checkpoint<Sc: Scalar>(
         &self,
-        ck: &TrainCheckpoint,
-        guard: &GuardConfig,
+        ck: &TrainCheckpoint<Sc>,
+        step: TrainStep,
+        guard: Option<GuardConfig>,
         num_samples: usize,
     ) -> Result<(), TrainError> {
-        let reason = if ck.config != self.config {
-            Some("trainer configuration differs from the checkpointed run")
-        } else if ck.guard != *guard {
-            Some("guard configuration differs from the checkpointed run")
+        let reason = if ck.step != step {
+            format!(
+                "the checkpoint was written by the {} step, this run uses the {step} step",
+                ck.step
+            )
+        } else if ck.config != self.config {
+            "trainer configuration differs from the checkpointed run".to_string()
+        } else if ck.guard != guard {
+            "guard configuration differs from the checkpointed run".to_string()
         } else if ck.num_samples != num_samples || ck.order.len() != num_samples {
-            Some("training-set size differs from the checkpointed run")
+            "training-set size differs from the checkpointed run".to_string()
         } else if ck.epoch_next > self.config.epochs {
-            Some("checkpoint is ahead of the configured epoch count")
+            "checkpoint is ahead of the configured epoch count".to_string()
         } else {
-            None
+            return Ok(());
         };
-        match reason {
-            Some(r) => Err(TrainError::Checkpoint(CkptError::ResumeMismatch {
-                reason: r.to_string(),
-            })),
-            None => Ok(()),
-        }
+        Err(CkptError::ResumeMismatch { reason }.into())
     }
 }
 
@@ -1218,7 +1193,13 @@ mod tests {
             max_trips: 3,
         };
         let guarded = trainer
-            .train_guarded(&mut guarded_model, &data, None, &guard)
+            .train_with(
+                &mut guarded_model,
+                &data,
+                None,
+                &guarded(guard),
+                &Obs::disabled(),
+            )
             .unwrap();
         assert_eq!(plain, guarded);
         assert_eq!(plain_model, guarded_model);
@@ -1241,7 +1222,13 @@ mod tests {
         let mut model = Poisoned::new(ChainNet::new(ModelConfig::small(), 19), 36, 1);
         let obs = Obs::enabled();
         let report = trainer
-            .train_guarded_observed(&mut model, &data, None, &GuardConfig::default(), &obs)
+            .train_with(
+                &mut model,
+                &data,
+                None,
+                &guarded(GuardConfig::default()),
+                &obs,
+            )
             .expect("a single transient NaN must not abort training");
         // The tripped epoch is dropped from history; the rest completed.
         assert_eq!(report.history.len(), 7);
@@ -1272,7 +1259,7 @@ mod tests {
         };
         let obs = Obs::enabled();
         let err = trainer
-            .train_guarded_observed(&mut model, &data, None, &guard, &obs)
+            .train_with(&mut model, &data, None, &guarded(guard), &obs)
             .unwrap_err();
         assert_eq!(err, TrainError::Diverged { epoch: 2, trips: 3 });
         // Rolled back: with no clean epoch, the last good checkpoint is
@@ -1292,7 +1279,13 @@ mod tests {
     fn guarded_training_rejects_empty_training_set() {
         let mut model = ChainNet::new(ModelConfig::small(), 5);
         let err = Trainer::new(TrainConfig::small())
-            .train_guarded(&mut model, &[], None, &GuardConfig::default())
+            .train_with(
+                &mut model,
+                &[],
+                None,
+                &guarded(GuardConfig::default()),
+                &Obs::disabled(),
+            )
             .unwrap_err();
         assert_eq!(err, TrainError::EmptyTrainingSet);
     }
@@ -1308,6 +1301,38 @@ mod tests {
         GuardConfig {
             max_grad_norm: f64::INFINITY,
             max_trips: 3,
+        }
+    }
+
+    fn guarded(guard: GuardConfig) -> TrainOptions<'static> {
+        TrainOptions {
+            step: TrainStep::Sequential,
+            guard: Some(guard),
+            checkpoint: None,
+        }
+    }
+
+    /// The sequential step under the diagnostic guard, checkpointed.
+    fn checkpointed(store: &CkptStore, every: usize, resume: bool) -> TrainOptions<'_> {
+        TrainOptions {
+            checkpoint: Some(CheckpointSink {
+                store,
+                every,
+                resume,
+            }),
+            ..guarded(diag_guard())
+        }
+    }
+
+    fn checkpointed_as(
+        step: TrainStep,
+        store: &CkptStore,
+        every: usize,
+        resume: bool,
+    ) -> TrainOptions<'_> {
+        TrainOptions {
+            step,
+            ..checkpointed(store, every, resume)
         }
     }
 
@@ -1328,21 +1353,25 @@ mod tests {
         let trainer = Trainer::new(ckpt_cfg());
         let mut plain_model = ChainNet::new(ModelConfig::small(), 31);
         let plain = trainer
-            .train_guarded(&mut plain_model, &data, None, &diag_guard())
+            .train_with(
+                &mut plain_model,
+                &data,
+                None,
+                &guarded(diag_guard()),
+                &Obs::disabled(),
+            )
             .unwrap();
 
         let dir = ckpt_tmp_dir("matches");
         let store = CkptStore::open(&dir, "train", TRAIN_CKPT_SCHEMA).unwrap();
         let mut ckpt_model = ChainNet::new(ModelConfig::small(), 31);
         let ckpted = trainer
-            .train_checkpointed(
+            .train_with(
                 &mut ckpt_model,
                 &data,
                 None,
-                &diag_guard(),
-                &store,
-                2,
-                false,
+                &checkpointed(&store, 2, false),
+                &Obs::disabled(),
             )
             .unwrap();
         assert_eq!(plain, ckpted);
@@ -1356,60 +1385,178 @@ mod tests {
     fn killed_and_resumed_training_is_bit_identical() {
         let data = toy_dataset(10);
         let trainer = Trainer::new(ckpt_cfg());
+        for (tag, step) in [
+            ("seq", TrainStep::Sequential),
+            ("f32", TrainStep::Packed(Dtype::F32)),
+        ] {
+            // Uninterrupted checkpointed run: the reference result.
+            let dir_full = ckpt_tmp_dir(&format!("full-{tag}"));
+            let store_full = CkptStore::open(&dir_full, "train", TRAIN_CKPT_SCHEMA).unwrap();
+            let mut full_model = ChainNet::new(ModelConfig::small(), 37);
+            let full = trainer
+                .train_with(
+                    &mut full_model,
+                    &data,
+                    None,
+                    &checkpointed_as(step, &store_full, 1, false),
+                    &Obs::disabled(),
+                )
+                .unwrap();
 
-        // Uninterrupted checkpointed run: the reference result.
-        let dir_full = ckpt_tmp_dir("full");
-        let store_full = CkptStore::open(&dir_full, "train", TRAIN_CKPT_SCHEMA).unwrap();
-        let mut full_model = ChainNet::new(ModelConfig::small(), 37);
-        let full = trainer
-            .train_checkpointed(
-                &mut full_model,
-                &data,
-                None,
-                &diag_guard(),
-                &store_full,
-                1,
-                false,
-            )
-            .unwrap();
+            // Simulate a SIGKILL after epoch 3: a fresh directory holding
+            // only the checkpoints that existed at that moment is exactly
+            // the state a killed process leaves behind.
+            let dir_cut = ckpt_tmp_dir(&format!("cut-{tag}"));
+            std::fs::create_dir_all(&dir_cut).unwrap();
+            for seq in [1u64, 2, 3] {
+                std::fs::copy(
+                    store_full.path_of(seq),
+                    dir_cut.join(store_full.path_of(seq).file_name().unwrap()),
+                )
+                .unwrap();
+            }
+            let store_cut = CkptStore::open(&dir_cut, "train", TRAIN_CKPT_SCHEMA).unwrap();
+            // The model passed in is a *fresh* one: everything that matters
+            // must come from the checkpoint.
+            let mut resumed_model = ChainNet::new(ModelConfig::small(), 999);
+            let resumed = trainer
+                .train_with(
+                    &mut resumed_model,
+                    &data,
+                    None,
+                    &checkpointed_as(step, &store_cut, 1, true),
+                    &Obs::disabled(),
+                )
+                .unwrap();
 
-        // Simulate a SIGKILL after epoch 3: a fresh directory holding
-        // only the checkpoints that existed at that moment is exactly
-        // the state a killed process leaves behind.
-        let dir_cut = ckpt_tmp_dir("cut");
-        std::fs::create_dir_all(&dir_cut).unwrap();
-        for seq in [1u64, 2, 3] {
-            std::fs::copy(
-                store_full.path_of(seq),
-                dir_cut.join(store_full.path_of(seq).file_name().unwrap()),
-            )
-            .unwrap();
+            assert_eq!(full, resumed, "{step}");
+            assert_eq!(full_model.params(), resumed_model.params(), "{step}");
+            // Byte-level identity of the serialized parameters.
+            assert_eq!(
+                serde_json::to_string(full_model.params()).unwrap(),
+                serde_json::to_string(resumed_model.params()).unwrap()
+            );
+            let _ = std::fs::remove_dir_all(&dir_full);
+            let _ = std::fs::remove_dir_all(&dir_cut);
         }
-        let store_cut = CkptStore::open(&dir_cut, "train", TRAIN_CKPT_SCHEMA).unwrap();
-        // The model passed in is a *fresh* one: everything that matters
-        // must come from the checkpoint.
-        let mut resumed_model = ChainNet::new(ModelConfig::small(), 999);
-        let resumed = trainer
-            .train_checkpointed(
-                &mut resumed_model,
+    }
+
+    #[test]
+    fn checkpointed_packed_training_matches_plain_packed() {
+        let data = toy_dataset(10);
+        let trainer = Trainer::new(ckpt_cfg());
+        let mut plain_model = ChainNet::new(ModelConfig::small(), 31);
+        let plain = trainer.train_batched::<f32>(&mut plain_model, &data, None, &Obs::disabled());
+        let dir = ckpt_tmp_dir("packed-matches");
+        let store = CkptStore::open(&dir, "train", TRAIN_CKPT_SCHEMA).unwrap();
+        let mut ckpt_model = ChainNet::new(ModelConfig::small(), 31);
+        let ckpted = trainer
+            .train_with(
+                &mut ckpt_model,
                 &data,
                 None,
-                &diag_guard(),
-                &store_cut,
-                1,
-                true,
+                &checkpointed_as(TrainStep::Packed(Dtype::F32), &store, 2, false),
+                &Obs::disabled(),
             )
             .unwrap();
+        assert_eq!(plain, ckpted);
+        assert_eq!(plain_model, ckpt_model);
+        assert_eq!(store.list().unwrap(), vec![2, 4, 6]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-        assert_eq!(full, resumed);
-        assert_eq!(full_model.params(), resumed_model.params());
-        // Byte-level identity of the serialized parameters.
+    #[test]
+    fn resume_with_another_step_or_dtype_is_a_mismatch() {
+        let data = toy_dataset(6);
+        let trainer = Trainer::new(ckpt_cfg());
+        let dir = ckpt_tmp_dir("step-mismatch");
+        let store = CkptStore::open(&dir, "train", TRAIN_CKPT_SCHEMA).unwrap();
+        let mut model = ChainNet::new(ModelConfig::small(), 5);
+        let packed_f32 = TrainStep::Packed(Dtype::F32);
+        trainer
+            .train_with(
+                &mut model,
+                &data,
+                None,
+                &checkpointed_as(packed_f32, &store, 2, false),
+                &Obs::disabled(),
+            )
+            .unwrap();
+        for other in [TrainStep::Sequential, TrainStep::Packed(Dtype::F64)] {
+            let err = trainer
+                .train_with(
+                    &mut model,
+                    &data,
+                    None,
+                    &checkpointed_as(other, &store, 2, true),
+                    &Obs::disabled(),
+                )
+                .unwrap_err();
+            match err {
+                TrainError::Checkpoint(CkptError::ResumeMismatch { reason }) => {
+                    assert!(reason.contains("packed f32"), "{reason}");
+                }
+                other => panic!("expected a resume mismatch, got {other:?}"),
+            }
+        }
+        // Nothing was quarantined: the checkpoints are sound, just not
+        // this run's.
+        assert_eq!(store.list().unwrap(), vec![2, 4, 6]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn packed_guard_rolls_back_a_nan_target_to_the_initial_weights() {
+        let mut data = toy_dataset(8);
+        data[3].targets[0].throughput = f64::NAN;
+        let trainer = Trainer::new(TrainConfig {
+            epochs: 10,
+            batch_size: 4,
+            learning_rate: 1e-3,
+            lr_decay: 0.9,
+            lr_decay_period: 10,
+            seed: 17,
+        });
+        let mut model = ChainNet::new(ModelConfig::small(), 23);
+        let initial = model.params().clone();
+        let obs = Obs::enabled();
+        let options = TrainOptions {
+            step: TrainStep::Packed(Dtype::F32),
+            ..guarded(GuardConfig::default())
+        };
+        let err = trainer
+            .train_with(&mut model, &data, None, &options, &obs)
+            .unwrap_err();
+        // The NaN sample lands in some batch of every epoch.
+        assert_eq!(err, TrainError::Diverged { epoch: 2, trips: 3 });
+        // Rolled back to the starting f32 weights, written back to f64.
+        let mut expected = initial.clone();
+        expected.assign_values_cast(&initial.cast::<f32>());
+        assert_eq!(model.params(), &expected);
         assert_eq!(
-            serde_json::to_string(full_model.params()).unwrap(),
-            serde_json::to_string(resumed_model.params()).unwrap()
+            obs.registry.snapshot().counters["train.divergence_trips"],
+            3
         );
-        let _ = std::fs::remove_dir_all(&dir_full);
-        let _ = std::fs::remove_dir_all(&dir_cut);
+    }
+
+    #[test]
+    fn packed_step_needs_a_chainnet() {
+        let data = toy_dataset(4);
+        let mut model = Poisoned::new(ChainNet::new(ModelConfig::small(), 5), 0, 0);
+        let err = Trainer::new(ckpt_cfg())
+            .train_with(
+                &mut model,
+                &data,
+                None,
+                &TrainOptions {
+                    step: TrainStep::Packed(Dtype::F64),
+                    guard: None,
+                    checkpoint: None,
+                },
+                &Obs::disabled(),
+            )
+            .unwrap_err();
+        assert_eq!(err, TrainError::PackedNeedsChainNet);
     }
 
     #[test]
@@ -1420,18 +1567,22 @@ mod tests {
         let store = CkptStore::open(&dir, "train", TRAIN_CKPT_SCHEMA).unwrap();
         let mut model = ChainNet::new(ModelConfig::small(), 41);
         let full = trainer
-            .train_checkpointed(&mut model, &data, None, &diag_guard(), &store, 2, false)
+            .train_with(
+                &mut model,
+                &data,
+                None,
+                &checkpointed(&store, 2, false),
+                &Obs::disabled(),
+            )
             .unwrap();
         let mut resumed_model = ChainNet::new(ModelConfig::small(), 999);
         let resumed = trainer
-            .train_checkpointed(
+            .train_with(
                 &mut resumed_model,
                 &data,
                 None,
-                &diag_guard(),
-                &store,
-                2,
-                true,
+                &checkpointed(&store, 2, true),
+                &Obs::disabled(),
             )
             .unwrap();
         assert_eq!(full, resumed);
@@ -1447,14 +1598,12 @@ mod tests {
         let store_full = CkptStore::open(&dir_full, "train", TRAIN_CKPT_SCHEMA).unwrap();
         let mut full_model = ChainNet::new(ModelConfig::small(), 43);
         let full = trainer
-            .train_checkpointed(
+            .train_with(
                 &mut full_model,
                 &data,
                 None,
-                &diag_guard(),
-                &store_full,
-                1,
-                false,
+                &checkpointed(&store_full, 1, false),
+                &Obs::disabled(),
             )
             .unwrap();
 
@@ -1479,14 +1628,12 @@ mod tests {
 
         let mut resumed_model = ChainNet::new(ModelConfig::small(), 999);
         let resumed = trainer
-            .train_checkpointed(
+            .train_with(
                 &mut resumed_model,
                 &data,
                 None,
-                &diag_guard(),
-                &store_cut,
-                1,
-                true,
+                &checkpointed(&store_cut, 1, true),
+                &Obs::disabled(),
             )
             .unwrap();
         assert_eq!(full, resumed);
@@ -1507,7 +1654,13 @@ mod tests {
         let store = CkptStore::open(&dir, "train", TRAIN_CKPT_SCHEMA).unwrap();
         let mut model = ChainNet::new(ModelConfig::small(), 5);
         let err = Trainer::new(ckpt_cfg())
-            .train_checkpointed(&mut model, &data, None, &diag_guard(), &store, 0, false)
+            .train_with(
+                &mut model,
+                &data,
+                None,
+                &checkpointed(&store, 0, false),
+                &Obs::disabled(),
+            )
             .unwrap_err();
         assert_eq!(err, TrainError::Checkpoint(CkptError::InvalidCadence));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1520,7 +1673,13 @@ mod tests {
         let store = CkptStore::open(&dir, "train", TRAIN_CKPT_SCHEMA).unwrap();
         let mut model = ChainNet::new(ModelConfig::small(), 5);
         let err = Trainer::new(ckpt_cfg())
-            .train_checkpointed(&mut model, &data, None, &diag_guard(), &store, 1, true)
+            .train_with(
+                &mut model,
+                &data,
+                None,
+                &checkpointed(&store, 1, true),
+                &Obs::disabled(),
+            )
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1536,12 +1695,24 @@ mod tests {
         let store = CkptStore::open(&dir, "train", TRAIN_CKPT_SCHEMA).unwrap();
         let mut model = ChainNet::new(ModelConfig::small(), 5);
         Trainer::new(ckpt_cfg())
-            .train_checkpointed(&mut model, &data, None, &diag_guard(), &store, 2, false)
+            .train_with(
+                &mut model,
+                &data,
+                None,
+                &checkpointed(&store, 2, false),
+                &Obs::disabled(),
+            )
             .unwrap();
         let mut other_cfg = ckpt_cfg();
         other_cfg.seed = 999;
         let err = Trainer::new(other_cfg)
-            .train_checkpointed(&mut model, &data, None, &diag_guard(), &store, 2, true)
+            .train_with(
+                &mut model,
+                &data,
+                None,
+                &checkpointed(&store, 2, true),
+                &Obs::disabled(),
+            )
             .unwrap_err();
         assert!(matches!(
             err,

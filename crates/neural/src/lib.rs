@@ -70,6 +70,6 @@ pub mod tensor;
 pub use layers::{Activation, GruCell, Linear, Mlp};
 pub use optim::{Adam, StepDecay};
 pub use params::{ParamId, ParamStore};
-pub use scalar::Scalar;
+pub use scalar::{Dtype, Scalar};
 pub use tape::{Tape, Var};
 pub use tensor::Tensor;

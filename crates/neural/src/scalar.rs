@@ -21,10 +21,29 @@
 //! alternative arithmetic.
 
 use serde::de::DeserializeOwned;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
+
+/// Which of the two [`Scalar`] types a value is, as a runtime tag (a
+/// training checkpoint records the dtype that wrote it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Dtype {
+    /// `f32`.
+    F32,
+    /// `f64`.
+    F64,
+}
+
+impl Display for Dtype {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Dtype::F32 => "f32",
+            Dtype::F64 => "f64",
+        })
+    }
+}
 
 /// A dense floating-point element type (`f32` or `f64`).
 ///
@@ -68,6 +87,8 @@ pub trait Scalar:
     const ONE: Self;
     /// Negative infinity (softmax max-reduction seed).
     const NEG_INFINITY: Self;
+    /// This type's runtime tag.
+    const DTYPE: Dtype;
 
     /// Lossy conversion from `f64` (identity for `f64`).
     fn from_f64(x: f64) -> Self;
@@ -91,6 +112,7 @@ impl Scalar for f64 {
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
     const NEG_INFINITY: Self = f64::NEG_INFINITY;
+    const DTYPE: Dtype = Dtype::F64;
 
     #[inline(always)]
     fn from_f64(x: f64) -> Self {
@@ -130,6 +152,7 @@ impl Scalar for f32 {
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
     const NEG_INFINITY: Self = f32::NEG_INFINITY;
+    const DTYPE: Dtype = Dtype::F32;
 
     #[inline(always)]
     fn from_f64(x: f64) -> Self {

@@ -8,6 +8,10 @@
 //!                [--hedge-after-ms N] [--drain-ms N] [--quiet]
 //! ```
 //!
+//! `--model` takes a ChainNet file, bare (what `chainnet train --out`
+//! writes) or wrapped as `{"model": …}` (the `results/model_*.json`
+//! training results).
+//!
 //! Without `--bind` the daemon speaks JSON lines on stdin/stdout
 //! (serial mode, for tests and scripting). With `--bind HOST:PORT` it
 //! serves TCP with bounded-queue admission control; `PORT` may be `0`
@@ -30,7 +34,7 @@
 //! daemon (or the whole supervised pool) resumes from the last
 //! persisted state.
 
-use chainnet::model::ChainNet;
+use chainnet::model::model_from_json;
 use chainnet_ckpt::CkptStore;
 use chainnet_obs::Obs;
 use chainnet_serve::engine::{Engine, EngineConfig, SERVE_CKPT_SCHEMA};
@@ -170,7 +174,7 @@ fn build_engine(args: &Args, obs: Obs) -> Result<Engine, Box<dyn std::error::Err
     let mut engine = Engine::new(args.engine, obs);
     if let Some(path) = &args.model {
         let text = std::fs::read_to_string(path)?;
-        let model: ChainNet = serde_json::from_str(&text)?;
+        let model = model_from_json(&text)?;
         engine = engine.with_surrogate(model);
         if !args.quiet {
             eprintln!("chainnet-serve: surrogate loaded from {}", path.display());

@@ -176,6 +176,30 @@ fn tcp_roundtrip_shutdown_is_graceful() {
 }
 
 #[test]
+fn results_model_file_loads_and_answers_a_place() {
+    // The repository's `{"model": …, "report": …}` training results load
+    // as they are, like the bare files `train --out` writes.
+    let model = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/model_smoke_chainnet.json"
+    );
+    let dir = std::env::temp_dir().join(format!("serve-proc-model-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let (mut child, addr) = spawn_daemon(&dir, &["--model", model]);
+    let (mut reader, mut stream) = connect(&addr);
+
+    send(&mut stream, &topology_line(1));
+    assert_eq!(outcome_key(&recv(&mut reader)), "TopologyInstalled");
+    send(&mut stream, r#"{"id":2,"body":{"Place":{"hint":null}}}"#);
+    assert_eq!(outcome_key(&recv(&mut reader)), "Placed");
+    send(&mut stream, r#"{"id":3,"body":"Shutdown"}"#);
+    assert_eq!(outcome_key(&recv(&mut reader)), "ShuttingDown");
+    assert_eq!(child.wait().code(), Some(0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn sigkill_then_restart_resumes_serving_state() {
     let dir = std::env::temp_dir().join(format!("serve-proc-kill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

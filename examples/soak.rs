@@ -314,9 +314,9 @@ fn soak() -> SoakResult<String> {
     std::fs::create_dir_all(&dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
 
     // Phases 1-5 serve with the surrogate when SOAK_MODEL names one.
-    let model_path = soak_model(&dir)?;
+    let model_path = std::env::var("SOAK_MODEL").ok();
     let model_args: Vec<&str> = match &model_path {
-        Some(p) => vec!["--model", p.to_str().ok_or("model path is not UTF-8")?],
+        Some(p) => vec!["--model", p],
         None => Vec::new(),
     };
 
@@ -642,23 +642,6 @@ fn soak() -> SoakResult<String> {
         report.push_str(&s);
     }
     Ok(report)
-}
-
-/// The surrogate for phases 1-5: `SOAK_MODEL`'s ChainNet written as a
-/// bare model file into the state dir (the daemon's `--model` format),
-/// or `None` when `SOAK_MODEL` is unset.
-fn soak_model(dir: &Path) -> SoakResult<Option<PathBuf>> {
-    let Ok(src) = std::env::var("SOAK_MODEL") else {
-        return Ok(None);
-    };
-    let text = std::fs::read_to_string(&src).map_err(|e| format!("read SOAK_MODEL {src}: {e}"))?;
-    let value: Value =
-        serde_json::from_str(&text).map_err(|e| format!("parse SOAK_MODEL {src}: {e}"))?;
-    let model = value.get("model").cloned().unwrap_or(value);
-    let path = dir.join("soak-model.json");
-    let bare = serde_json::to_string(&model).map_err(|e| format!("encode model: {e}"))?;
-    std::fs::write(&path, bare).map_err(|e| format!("write {}: {e}", path.display()))?;
-    Ok(Some(path))
 }
 
 /// Live worker pids from a supervised daemon's `Stats` answer.

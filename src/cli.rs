@@ -15,8 +15,11 @@
 
 use chainnet::config::{ModelConfig, TrainConfig};
 use chainnet::graph::PlacementGraph;
-use chainnet::model::{ChainNet, Surrogate};
-use chainnet::train::{GuardConfig, TrainError, Trainer, TRAIN_CKPT_SCHEMA};
+use chainnet::model::{model_from_json, ChainNet, Surrogate};
+use chainnet::train::{
+    CheckpointSink, Dtype, GuardConfig, TrainError, TrainOptions, TrainStep, Trainer,
+    TRAIN_CKPT_SCHEMA,
+};
 use chainnet_ckpt::{CkptError, CkptStore};
 use chainnet_datagen::dataset::{
     generate_raw_dataset_observed, generate_raw_dataset_sharded_observed, to_labeled,
@@ -276,7 +279,8 @@ COMMANDS:
   train        --data d.json --out model.json [--epochs 40] [--hidden 32]
                [--iterations 4] [--batch 32] [--dtype f32|f64] [--lr 0.001]
                [--seed 0]  --dtype packs each mini-batch into one padded
-               tape pass in that precision (fast path; no checkpointing)
+               tape pass in that precision (fast path; checkpointed
+               with the run, so --resume needs the same --dtype)
   predict      --model model.json --system s.json
   optimize     --problem p.json [--model model.json] [--steps 100]
                [--trials 5] [--horizon 2000] [--seed 0] [--out placement.json]
@@ -459,6 +463,13 @@ fn read_json<T: serde::de::DeserializeOwned>(path: &str) -> Result<T, CliError> 
     Ok(serde_json::from_str(&text)?)
 }
 
+/// Read a model file: a bare ChainNet or a `{"model": …}` training
+/// result (see [`model_from_json`]).
+fn read_model(path: &str) -> Result<ChainNet, CliError> {
+    let text = std::fs::read_to_string(Path::new(path))?;
+    Ok(model_from_json(&text)?)
+}
+
 /// Serialize `value` as pretty JSON and write it atomically, so a crash
 /// mid-write can never leave a torn artifact at `path`.
 fn write_json<T: serde::Serialize>(path: &str, value: &T) -> Result<(), CliError> {
@@ -610,28 +621,20 @@ fn cmd_gen_dataset(inv: &Invocation) -> Result<String, CliError> {
 }
 
 fn cmd_train(inv: &Invocation) -> Result<String, CliError> {
-    // --dtype selects the packed mini-batch path (one padded tape pass
-    // per batch) in the requested precision. Without it, training runs
-    // the original per-graph loop, bit-identical to earlier releases.
+    // --dtype selects the packed step (one padded tape pass per
+    // mini-batch) in that precision. Without it, training runs the
+    // per-graph sequential step, bit-identical to earlier releases.
     // Validated before any file I/O so usage errors surface first.
-    let dtype = inv.options.get("dtype").map(String::as_str);
-    if let Some(d) = dtype {
-        if d != "f32" && d != "f64" {
+    let step = match inv.options.get("dtype").map(String::as_str) {
+        None => TrainStep::Sequential,
+        Some("f32") => TrainStep::Packed(Dtype::F32),
+        Some("f64") => TrainStep::Packed(Dtype::F64),
+        Some(d) => {
             return Err(CliError::Usage(format!(
                 "--dtype must be f32 or f64, got `{d}`"
-            )));
+            )))
         }
-        if inv.options.contains_key("checkpoint-dir")
-            || inv.options.contains_key("checkpoint-every")
-            || inv.options.contains_key("resume")
-        {
-            return Err(CliError::Usage(
-                "--dtype (batched training) does not support checkpointing yet; \
-                 drop --checkpoint-dir/--checkpoint-every/--resume"
-                    .into(),
-            ));
-        }
-    }
+    };
     let data: Vec<RawSample> = read_json(required(inv, "data")?)?;
     let out = required(inv, "out")?;
     let mut model_cfg = ModelConfig::paper_chainnet();
@@ -651,25 +654,22 @@ fn cmd_train(inv: &Invocation) -> Result<String, CliError> {
     let obs = build_obs(inv)?;
     register_cancel_signals(&obs);
     let ckpt = checkpoint_options(inv, "train", TRAIN_CKPT_SCHEMA, 1, &obs)?;
-    let report = match dtype {
-        Some("f32") => trainer.train_batched::<f32>(&mut model, &labeled, None, &obs),
-        Some(_) => trainer.train_batched::<f64>(&mut model, &labeled, None, &obs),
-        None => match &ckpt {
-            Some((store, every, resume)) => {
-                // No gradient clipping (max_grad_norm = 0), so a healthy
-                // checkpointed run stays bit-identical to the plain path; the
-                // guard still rolls back on non-finite loss/grads/params.
-                let guard = GuardConfig {
-                    max_grad_norm: 0.0,
-                    max_trips: 3,
-                };
-                trainer.train_checkpointed_observed(
-                    &mut model, &labeled, None, &guard, store, *every, *resume, &obs,
-                )?
-            }
-            None => trainer.train_observed(&mut model, &labeled, None, &obs),
-        },
+    let options = TrainOptions {
+        step,
+        // No gradient clipping (max_grad_norm = 0), so a healthy
+        // checkpointed run stays bit-identical to the plain one; the
+        // guard still rolls back on non-finite loss/grads/params.
+        guard: ckpt.is_some().then_some(GuardConfig {
+            max_grad_norm: 0.0,
+            max_trips: 3,
+        }),
+        checkpoint: ckpt.as_ref().map(|(store, every, resume)| CheckpointSink {
+            store,
+            every: *every,
+            resume: *resume,
+        }),
     };
+    let report = trainer.train_with(&mut model, &labeled, None, &options, &obs)?;
     write_json(out, &model)?;
     write_metrics(inv, &obs)?;
     write_trace(inv, &obs)?;
@@ -696,7 +696,7 @@ fn cmd_train(inv: &Invocation) -> Result<String, CliError> {
 }
 
 fn cmd_predict(inv: &Invocation) -> Result<String, CliError> {
-    let model: ChainNet = read_json(required(inv, "model")?)?;
+    let model = read_model(required(inv, "model")?)?;
     let system: SystemModel = read_json(required(inv, "system")?)?;
     let graph = PlacementGraph::from_model(&system, model.config().feature_mode);
     let preds = model.predict(&graph);
@@ -704,7 +704,7 @@ fn cmd_predict(inv: &Invocation) -> Result<String, CliError> {
 }
 
 fn cmd_evaluate(inv: &Invocation) -> Result<String, CliError> {
-    let model: ChainNet = read_json(required(inv, "model")?)?;
+    let model = read_model(required(inv, "model")?)?;
     let data: Vec<RawSample> = read_json(required(inv, "data")?)?;
     if data.is_empty() {
         return Err(CliError::Usage("dataset is empty".into()));
@@ -763,7 +763,7 @@ fn cmd_optimize(inv: &Invocation) -> Result<String, CliError> {
     register_cancel_signals(&obs);
     let ckpt = checkpoint_options(inv, "sa", SA_CKPT_SCHEMA, 10, &obs)?;
     let mut ev: Box<dyn BatchEvaluator> = match inv.options.get("model") {
-        Some(path) => Box::new(GnnEvaluator::new(read_json::<ChainNet>(path)?)),
+        Some(path) => Box::new(GnnEvaluator::new(read_model(path)?)),
         None => Box::new(SimEvaluator::new(SimConfig::new(horizon, seed))),
     };
     let result = match &ckpt {
@@ -1127,6 +1127,43 @@ mod tests {
     }
 
     #[test]
+    fn predict_and_evaluate_read_results_model_files() {
+        // The committed `{"model": …, "report": …}` training results load
+        // like the bare files `train --out` writes.
+        let model = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/results/model_smoke_chainnet.json"
+        );
+        let data_path = temp("results_model_data.json");
+        let sys_path = temp("results_model_sys.json");
+        run(&parse_args(&args(&[
+            "gen-dataset",
+            "--out",
+            &data_path,
+            "--samples",
+            "2",
+            "--horizon",
+            "120",
+        ]))
+        .unwrap())
+        .unwrap();
+        let raw: Vec<RawSample> =
+            serde_json::from_str(&std::fs::read_to_string(&data_path).unwrap()).unwrap();
+        std::fs::write(&sys_path, serde_json::to_string(&raw[0].model).unwrap()).unwrap();
+        let out =
+            run(&parse_args(&args(&["predict", "--model", model, "--system", &sys_path])).unwrap())
+                .unwrap();
+        assert!(out.contains("throughput"));
+        let out =
+            run(&parse_args(&args(&["evaluate", "--model", model, "--data", &data_path])).unwrap())
+                .unwrap();
+        assert!(out.contains("evaluated"));
+        for p in [&data_path, &sys_path] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
     fn train_dtype_routes_batched_path() {
         let data_path = temp("dtype_data.json");
         let inv = parse_args(&args(&[
@@ -1174,27 +1211,78 @@ mod tests {
     }
 
     #[test]
-    fn train_dtype_rejects_bad_values_and_checkpointing() {
+    fn train_dtype_rejects_bad_values_and_resumes_checkpoints() {
         let inv = parse_args(&args(&[
             "train", "--data", "d.json", "--out", "m.json", "--dtype", "f16",
         ]))
         .unwrap();
         let err = run(&inv).unwrap_err();
         assert!(matches!(err, CliError::Usage(ref m) if m.contains("f32 or f64")));
-        let inv = parse_args(&args(&[
-            "train",
-            "--data",
-            "d.json",
+
+        // --dtype f32 with --checkpoint-dir, cut after epoch 2 and
+        // resumed, writes the model an uninterrupted plain run writes.
+        let data = temp("cli_train_f32_ckpt_data.json");
+        let plain = temp("cli_train_f32_plain_model.json");
+        let ckpted = temp("cli_train_f32_ckpt_model.json");
+        let resumed = temp("cli_train_f32_resumed_model.json");
+        let dir = temp_dir("cli_train_f32_ckpt");
+        let cut = temp_dir("cli_train_f32_ckpt_cut");
+        run(&parse_args(&args(&[
+            "gen-dataset",
             "--out",
-            "m.json",
-            "--dtype",
-            "f32",
-            "--checkpoint-dir",
-            "ckpts",
+            &data,
+            "--samples",
+            "6",
+            "--horizon",
+            "120",
         ]))
+        .unwrap())
         .unwrap();
-        let err = run(&inv).unwrap_err();
-        assert!(matches!(err, CliError::Usage(ref m) if m.contains("checkpoint")));
+        let train = |out: &str, dtype: &str, extra: &[&str]| {
+            let mut argv = vec![
+                "train",
+                "--data",
+                &data,
+                "--out",
+                out,
+                "--epochs",
+                "4",
+                "--hidden",
+                "8",
+                "--iterations",
+                "2",
+                "--batch",
+                "4",
+                "--dtype",
+                dtype,
+            ];
+            argv.extend_from_slice(extra);
+            run(&parse_args(&args(&argv)).unwrap())
+        };
+        train(&plain, "f32", &[]).unwrap();
+        train(&ckpted, "f32", &["--checkpoint-dir", &dir]).unwrap();
+        std::fs::create_dir_all(&cut).unwrap();
+        for name in ["train-00000001.ckpt", "train-00000002.ckpt"] {
+            let dst = std::path::Path::new(&cut).join(name);
+            std::fs::copy(std::path::Path::new(&dir).join(name), dst).unwrap();
+        }
+        train(&resumed, "f32", &["--checkpoint-dir", &cut, "--resume"]).unwrap();
+        let plain_bytes = std::fs::read_to_string(&plain).unwrap();
+        assert_eq!(plain_bytes, std::fs::read_to_string(&ckpted).unwrap());
+        assert_eq!(plain_bytes, std::fs::read_to_string(&resumed).unwrap());
+        // The checkpoints record the dtype: resuming them as f64 is a
+        // mismatch, not a silent restart.
+        let err = train(&resumed, "f64", &["--checkpoint-dir", &cut, "--resume"]).unwrap_err();
+        assert!(
+            matches!(err, CliError::Ckpt(CkptError::ResumeMismatch { .. })),
+            "{err:?}"
+        );
+        for p in [&data, &plain, &ckpted, &resumed] {
+            let _ = std::fs::remove_file(p);
+        }
+        for d in [&dir, &cut] {
+            let _ = std::fs::remove_dir_all(d);
+        }
     }
 
     #[test]
@@ -1443,6 +1531,61 @@ mod tests {
         for p in [&data_path, &model_path, &trace_path] {
             let _ = std::fs::remove_file(p);
         }
+    }
+
+    #[test]
+    fn train_checkpointed_trace_has_training_spans() {
+        let data_path = temp("trace_ckpt_train_data.json");
+        let model_path = temp("trace_ckpt_train_model.json");
+        let trace_path = temp("trace_ckpt_train.json");
+        let dir = temp_dir("trace_ckpt_train");
+        run(&parse_args(&args(&[
+            "gen-dataset",
+            "--out",
+            &data_path,
+            "--samples",
+            "3",
+            "--horizon",
+            "120",
+        ]))
+        .unwrap())
+        .unwrap();
+        run(&parse_args(&args(&[
+            "train",
+            "--data",
+            &data_path,
+            "--out",
+            &model_path,
+            "--epochs",
+            "2",
+            "--hidden",
+            "8",
+            "--iterations",
+            "2",
+            "--checkpoint-dir",
+            &dir,
+            "--trace-out",
+            &trace_path,
+        ]))
+        .unwrap())
+        .unwrap();
+        let text = std::fs::read_to_string(&trace_path).unwrap();
+        let trace = chainnet_obs::report::parse_trace(&text).unwrap();
+        trace.validate().unwrap();
+        let stats = trace.phase_stats();
+        for name in [
+            "train.epoch",
+            "train.step",
+            "neural.forward",
+            "neural.backward",
+        ] {
+            assert!(stats.contains_key(name), "no {name} span in {stats:?}");
+        }
+        assert_eq!(stats["train.epoch"].count, 2);
+        for p in [&data_path, &model_path, &trace_path] {
+            let _ = std::fs::remove_file(p);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

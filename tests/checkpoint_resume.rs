@@ -1,5 +1,6 @@
 //! End-to-end crash-recovery tests of the `chainnet-cli` binary: kill a
-//! checkpointed `train` or `optimize` run with SIGKILL, resume it in a
+//! checkpointed `train` (sequential or `--dtype f32`) or `optimize` run
+//! with SIGKILL, resume it in a
 //! fresh process, and check the final artifact is byte-identical to an
 //! uninterrupted run;
 //! corrupt a checkpoint on disk and watch resume quarantine it and fall
@@ -46,9 +47,9 @@ fn gen_dataset(path: &Path) {
     );
 }
 
-/// The shared `train` invocation; every run of it must produce the same
-/// model bytes, interrupted or not.
-fn train_cmd(data: &Path, model: &Path, ckpt_dir: &Path, resume: bool) -> Command {
+/// The shared `train` invocation plus `extra` options; every run of it
+/// must produce the same model bytes, interrupted or not.
+fn train_cmd(data: &Path, model: &Path, ckpt_dir: &Path, resume: bool, extra: &[&str]) -> Command {
     let mut cmd = bin();
     cmd.args([
         "train",
@@ -69,6 +70,7 @@ fn train_cmd(data: &Path, model: &Path, ckpt_dir: &Path, resume: bool) -> Comman
         "--checkpoint-every",
         "1",
     ]);
+    cmd.args(extra);
     if resume {
         cmd.arg("--resume");
     }
@@ -164,13 +166,40 @@ fn checkpoint_flag_misuse_has_documented_exit_codes() {
 #[cfg(unix)]
 #[test]
 fn sigkill_mid_train_then_resume_is_bit_identical() {
-    let data = temp("kill_data.json");
+    let (data, kill_dir) = sigkill_mid_train_then_resume("kill", &[]);
+    let _ = std::fs::remove_file(&data);
+    let _ = std::fs::remove_dir_all(&kill_dir);
+}
+
+#[cfg(unix)]
+#[test]
+fn sigkill_mid_f32_train_then_resume_is_bit_identical() {
+    let (data, kill_dir) = sigkill_mid_train_then_resume("kill_f32", &["--dtype", "f32"]);
+    // The checkpoints record the packed f32 step: resuming them with the
+    // sequential step is a checkpoint mismatch, exit 3.
+    let model = temp("kill_f32_seq_model.json");
+    let out = train_cmd(&data, &model, &kill_dir, true, &[])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(3));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("packed f32"));
+    let _ = std::fs::remove_file(&data);
+    let _ = std::fs::remove_dir_all(&kill_dir);
+}
+
+/// Train once uninterrupted and once SIGKILLed after a few checkpoints
+/// and resumed, with `extra` options; the two models must be
+/// byte-identical. Returns the dataset and the killed run's checkpoint
+/// directory.
+#[cfg(unix)]
+fn sigkill_mid_train_then_resume(tag: &str, extra: &[&str]) -> (PathBuf, PathBuf) {
+    let data = temp(&format!("{tag}_data.json"));
     gen_dataset(&data);
 
     // Uninterrupted reference run.
-    let ref_dir = temp_dir("kill_ref");
-    let ref_model = temp("kill_ref_model.json");
-    let out = train_cmd(&data, &ref_model, &ref_dir, false)
+    let ref_dir = temp_dir(&format!("{tag}_ref"));
+    let ref_model = temp(&format!("{tag}_ref_model.json"));
+    let out = train_cmd(&data, &ref_model, &ref_dir, false, extra)
         .output()
         .expect("spawn");
     assert!(
@@ -182,9 +211,9 @@ fn sigkill_mid_train_then_resume_is_bit_identical() {
     // Killed run: SIGKILL as soon as a few checkpoints have landed. If
     // the run wins the race and finishes first, the resume below still
     // has to reproduce the identical model from its final checkpoint.
-    let kill_dir = temp_dir("kill_victim");
-    let kill_model = temp("kill_victim_model.json");
-    let mut child = train_cmd(&data, &kill_model, &kill_dir, false)
+    let kill_dir = temp_dir(&format!("{tag}_victim"));
+    let kill_model = temp(&format!("{tag}_victim_model.json"));
+    let mut child = train_cmd(&data, &kill_model, &kill_dir, false, extra)
         .spawn()
         .expect("spawn");
     let target = kill_dir.join("train-00000003.ckpt");
@@ -205,7 +234,7 @@ fn sigkill_mid_train_then_resume_is_bit_identical() {
     );
 
     // Resume in a fresh process and compare the model byte for byte.
-    let out = train_cmd(&data, &kill_model, &kill_dir, true)
+    let out = train_cmd(&data, &kill_model, &kill_dir, true, extra)
         .output()
         .expect("spawn");
     assert!(
@@ -219,12 +248,11 @@ fn sigkill_mid_train_then_resume_is_bit_identical() {
         "resumed model differs from the uninterrupted reference"
     );
 
-    for p in [&data, &ref_model, &kill_model] {
+    for p in [&ref_model, &kill_model] {
         let _ = std::fs::remove_file(p);
     }
-    for d in [&ref_dir, &kill_dir] {
-        let _ = std::fs::remove_dir_all(d);
-    }
+    let _ = std::fs::remove_dir_all(&ref_dir);
+    (data, kill_dir)
 }
 
 /// The shared simulator-backed `optimize` invocation on the Sec. VIII-D
@@ -355,7 +383,7 @@ fn corrupt_checkpoint_is_quarantined_and_resume_falls_back() {
     // checkpoint to simulate on-disk corruption.
     let dir = temp_dir("corrupt");
     let ref_model = temp("corrupt_ref_model.json");
-    let out = train_cmd(&data, &ref_model, &dir, false)
+    let out = train_cmd(&data, &ref_model, &dir, false, &[])
         .output()
         .expect("spawn");
     assert!(
@@ -372,7 +400,7 @@ fn corrupt_checkpoint_is_quarantined_and_resume_falls_back() {
     // Resume must quarantine the bad file, fall back to the previous
     // verified checkpoint, and still converge to the identical model.
     let resumed_model = temp("corrupt_resumed_model.json");
-    let out = train_cmd(&data, &resumed_model, &dir, true)
+    let out = train_cmd(&data, &resumed_model, &dir, true, &[])
         .output()
         .expect("spawn");
     assert!(
